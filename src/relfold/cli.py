@@ -163,24 +163,11 @@ def _reduce_payload(verdict) -> dict:
     else:
         out["condition"] = verdict.condition
         if verdict.condition == "C1":
-            c = verdict.cprime
-            out["piece"] = format_word(c.piece) if c.piece is not None else None
-            out["relator_index"] = c.relator_index
-            out["ratio"] = (
-                f"{c.ratio.numerator}/{c.ratio.denominator}"
-                if c.ratio is not None
-                else None
-            )
+            c1 = genericity.cprime_jsonable(verdict.cprime)
+            del c1["ok"]
+            out.update(c1)
         elif verdict.condition == "C2":
-            out["powers"] = [
-                {
-                    "relator_index": st.relator_index,
-                    "is_proper_power": st.is_power,
-                    "root": format_word(st.root),
-                    "exponent": st.exponent,
-                }
-                for st in verdict.powers
-            ]
+            out["powers"] = genericity.powers_jsonable(verdict.powers)
         else:
             out["witness"] = nielsen.witness_jsonable(verdict.witness)
     return out

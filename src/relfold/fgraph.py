@@ -11,11 +11,12 @@ The module provides:
 * ``fold_all`` -- Stallings folding to a folded graph;
 * ``remove_degree_one`` -- strip hanging trees (relocating the base with a
   recorded conjugator when necessary);
+* ``relocate_base`` -- the record of a base move along a walk;
 * ``apply_M1`` / ``apply_M2`` / ``apply_AO`` -- attach a parallel path with
   an equal-in-G label / remove a redundant subpath / the combined
   attach-then-remove surgery;
-* ``free_basis`` / ``maximal_arcs`` / ``trace_word`` -- spanning-tree bases,
-  arc decomposition, and deterministic word tracing.
+* ``free_basis`` / ``maximal_arcs`` / ``arc_owner`` / ``trace_word`` --
+  spanning-tree bases, arc decomposition, and deterministic word tracing.
 
 Every move returns a ``MoveRecord`` carrying two-way *basis witnesses*:
 for each free-basis loop of the post-move graph, a word over the pre-move
@@ -26,6 +27,13 @@ conversely.  The witness computation rests on one identity: for any walk
 equals the product of the basis words of the non-tree edges ``p`` crosses,
 in crossing order; this holds in arbitrary graphs, folded or not, because
 tree-path labels telescope.
+
+Every move's record comes from one routine, ``_record``: the move mutates
+the graph, then hands over its pre-move basis data and two step-lifting
+maps (post-move basis loops into the pre-move graph, and back).  The
+routine reads both witness directions by crossings, checks the rank
+change and, for Fold/R, the witnesses by free reduction, and returns the
+post-move basis data for the next move to reuse.
 """
 
 from __future__ import annotations
@@ -51,7 +59,12 @@ class Path:
         return len(self.steps)
 
     def reversed_from(self, end: int) -> "Path":
-        return Path(end, tuple((e, -d) for e, d in reversed(self.steps)))
+        return Path(end, reverse_steps(self.steps))
+
+
+def reverse_steps(steps: Sequence[tuple]) -> tuple:
+    """The (edge, dir) steps of a walk, traversed backward."""
+    return tuple((e, -d) for e, d in reversed(steps))
 
 
 @dataclass
@@ -135,6 +148,27 @@ class FGraph:
         self._in[t].add(e)
         return e
 
+    def add_path(self, start: int, end: Optional[int], word: Sequence[int]) -> tuple[tuple, tuple]:
+        """Attach fresh edges spelling ``word`` from ``start`` to ``end``.
+
+        With ``end`` None the path ends at a fresh vertex.  Returns the
+        path's (edge, dir) steps and its fresh vertices in creation order.
+        """
+        steps, fresh = [], []
+        cur = start
+        for i, x in enumerate(word):
+            if end is not None and i == len(word) - 1:
+                nxt = end
+            else:
+                nxt = self.add_vertex()
+                fresh.append(nxt)
+            if x > 0:
+                steps.append((self.add_edge(cur, nxt, x), 1))
+            else:
+                steps.append((self.add_edge(nxt, cur, -x), -1))
+            cur = nxt
+        return tuple(steps), tuple(fresh)
+
     @staticmethod
     def from_edges(edge_list: Iterable[tuple], base: Optional[int] = None) -> "FGraph":
         """Build a graph from (origin, terminus, label) triples.
@@ -205,6 +239,10 @@ class FGraph:
     def degree(self, v: int) -> int:
         """Degree with loops counted twice."""
         return len(self._out[v]) + len(self._in[v])
+
+    def stubs(self, v: int) -> list:
+        """The (edge, dir) steps leaving v, sorted; a loop gives two."""
+        return sorted([(e, 1) for e in self._out[v]] + [(e, -1) for e in self._in[v]])
 
     def num_edges(self) -> int:
         return len(self.edges)
@@ -338,7 +376,7 @@ class FGraph:
             o, t, _ = self.edges[e]
             steps = (self._tree_path_steps(parent, o)
                      + ((e, 1),)
-                     + Path(0, self._tree_path_steps(parent, t)).reversed_from(0).steps)
+                     + reverse_steps(self._tree_path_steps(parent, t)))
             p = Path(root, steps)
             loops.append(p)
             labels.append(self.path_label(p))
@@ -351,21 +389,6 @@ class FGraph:
         if root is None:
             raise ValueError("no root given and graph has no base")
         return self.basis_data(root)[3]
-
-    def crossing_read(self, tree_edges_or_index, path: Path) -> Word:
-        """Express a root-closed walk in basis symbols by its crossings.
-
-        ``tree_edges_or_index`` is a dict non-tree edge -> 1-based symbol.
-        The result freely equals the walk's label after substituting the
-        basis labels for the symbols, in any graph.
-        """
-        index = tree_edges_or_index
-        out = []
-        for e, d in path.steps:
-            j = index.get(e)
-            if j is not None:
-                out.append(j if d > 0 else -j)
-        return free_reduce(out)
 
     # -- tracing -------------------------------------------------------------
 
@@ -410,14 +433,7 @@ def bouquet(ws: Sequence[Word]) -> FGraph:
     for w in ws:
         if not w:
             raise ValueError("bouquet words must be nontrivial")
-        cur = base
-        for i, x in enumerate(w):
-            nxt = base if i == len(w) - 1 else g.add_vertex()
-            if x > 0:
-                g.add_edge(cur, nxt, x)
-            else:
-                g.add_edge(nxt, cur, -x)
-            cur = nxt
+        g.add_path(base, base, w)
     return g
 
 
@@ -427,6 +443,89 @@ def is_alphabet_bouquet(g: FGraph, m: int) -> bool:
         return False
     labels = sorted(lbl for _, _, lbl in g.edges.values())
     return labels == list(range(1, m + 1))
+
+
+# ---------------------------------------------------------------------------
+# The move record
+
+
+def _crossings(index: dict, steps: Sequence[tuple]) -> Word:
+    """A root-closed walk in basis symbols: its non-tree crossings, reduced.
+
+    ``index`` maps each non-tree edge to its 1-based basis symbol.  The
+    result freely equals the walk's label after substituting the basis
+    labels for the symbols, in any graph.
+    """
+    out = []
+    for e, d in steps:
+        j = index.get(e)
+        if j is not None:
+            out.append(j if d > 0 else -j)
+    return free_reduce(out)
+
+
+def _conjugate(w: Word, c: Word) -> Word:
+    """c^-1 w c, freely reduced (``w`` is reduced already)."""
+    return free_reduce(concat(inverse(c), w, c)) if c else w
+
+
+def _record(kind: str, g: FGraph, pre, lift_post, lift_pre, rank_change: int, *,
+            detail: dict, conjugator: Word = (), merged: tuple = ((), ()),
+            added_vertices: tuple = (), added_edges: tuple = ()) -> tuple[MoveRecord, tuple]:
+    """Certify a move that has just mutated ``g`` and build its record.
+
+    ``pre`` is the pre-move ``basis_data`` at the old base.  ``lift_post``
+    maps the steps of a post-move basis loop to a walk from the old base
+    in the pre-move graph, ``lift_pre`` the steps of a pre-move basis loop
+    to a walk from the new base in the post-move graph.  Only the walks'
+    non-tree crossings are read, so their tree steps may use edges the
+    move removed.  The rank (the non-tree edge count; the BFS behind
+    ``basis_data`` proves the graph connected) must change by exactly
+    ``rank_change``, and Fold/R witnesses must hold in the free group up
+    to conjugation by ``conjugator``; a failure raises RuntimeError.
+
+    ``merged`` holds two maps (vertices, edges) from the pre ids the move
+    identified with others to their post ids; every other surviving id that is not ``added_*`` maps to
+    itself.  Returns the record and the post-move basis data.
+    """
+    post = g.basis_data(g.base)
+    _, pre_nontree, pre_loops, pre_labels = pre
+    _, post_nontree, post_loops, post_labels = post
+    pre_index = {e: j + 1 for j, e in enumerate(pre_nontree)}
+    post_index = {e: j + 1 for j, e in enumerate(post_nontree)}
+    post_in_pre = tuple(_crossings(pre_index, lift_post(lp.steps)) for lp in post_loops)
+    pre_in_post = tuple(_crossings(post_index, lift_pre(lp.steps)) for lp in pre_loops)
+
+    change = len(post_nontree) - len(pre_nontree)
+    if change != rank_change:
+        raise RuntimeError(f"{kind} changed the rank by {change}, not {rank_change}")
+    if kind in ("Fold", "R"):
+        inv = inverse(conjugator)
+        holds = (all(_conjugate(substitute(u, pre_labels), conjugator) == post_labels[j]
+                     for j, u in enumerate(post_in_pre))
+                 and all(_conjugate(substitute(u, post_labels), inv) == pre_labels[i]
+                         for i, u in enumerate(pre_in_post)))
+        if not holds:
+            raise RuntimeError(f"{kind} basis witness fails in the free group")
+
+    vertex_map = {u: u for u in g.vertices if u not in added_vertices}
+    vertex_map.update(merged[0])
+    new_edges = {a[0] for a in added_edges}
+    edge_map = {e: e for e in g.edges if e not in new_edges}
+    edge_map.update(merged[1])
+    return MoveRecord(
+        kind=kind,
+        vertex_map=vertex_map,
+        edge_map=edge_map,
+        added_vertices=added_vertices,
+        added_edges=added_edges,
+        pre_basis=pre_labels,
+        post_basis=post_labels,
+        post_in_pre=post_in_pre,
+        pre_in_post=pre_in_post,
+        conjugator=conjugator,
+        detail=detail,
+    ), post
 
 
 # ---------------------------------------------------------------------------
@@ -448,46 +547,50 @@ def _find_conflict(g: FGraph):
     return None
 
 
-def _build_pre_path(g_pre_edges, base_pre, post_path: Path, e1: int, e2: int,
-                    connector):
-    """Lift a post-fold walk to the pre-fold graph.
+def _lift_fold(pre_ends: dict, base_pre: int, steps: Sequence[tuple], e1: int, e2: int,
+               outgoing: bool) -> tuple:
+    """Lift a post-fold walk from the base to the pre-fold graph.
 
-    Steps map back one-to-one except that the surviving edge also stands
-    for the folded-away edge; whenever endpoints jump across the merged
-    vertex pair, a freely-trivial connector through the fold site is
-    inserted.  ``g_pre_edges`` maps edge -> (o, t) pre endpoints.
+    Steps map back one-to-one except that the surviving edge ``e1`` also
+    stands for the folded-away ``e2``; whenever endpoints jump across the
+    merged far-vertex pair, the freely-trivial connector through the fold
+    site is inserted.  ``pre_ends`` maps edge -> (o, t) pre endpoints.
     """
-    steps = []
+    far = 1 if outgoing else 0
+    far1, far2 = pre_ends[e1][far], pre_ends[e2][far]
+    across = ((e1, -1), (e2, 1)) if outgoing else ((e1, 1), (e2, -1))  # far1 -> far2
+
+    def connector(a, b):
+        if a == b:
+            return ()
+        if {a, b} != {far1, far2}:
+            return None
+        return across if a == far1 else reverse_steps(across)
+
+    out = []
     cur = base_pre
-    for e, d in post_path.steps:
+    for e, d in steps:
         cands = (e1, e2) if e == e1 else (e,)
-        chosen = None
         for c in cands:
-            o, t = g_pre_edges[c]
-            f, to = (o, t) if d > 0 else (t, o)
+            f, to = pre_ends[c] if d > 0 else pre_ends[c][::-1]
             if f == cur:
-                chosen = (c, d, to)
                 break
-        if chosen is None:
-            # jump across the merged pair, then retry
+        else:
+            # no candidate starts at cur: jump across the merged pair
             for c in cands:
-                o, t = g_pre_edges[c]
-                f, to = (o, t) if d > 0 else (t, o)
+                f, to = pre_ends[c] if d > 0 else pre_ends[c][::-1]
                 conn = connector(cur, f)
                 if conn is not None:
-                    steps.extend(conn)
-                    chosen = (c, d, to)
+                    out.extend(conn)
                     break
-        if chosen is None:
-            raise AssertionError("fold lift failed to connect")
-        steps.append((chosen[0], chosen[1]))
-        cur = chosen[2]
-    if cur != base_pre:
-        conn = connector(cur, base_pre)
-        if conn is None:
-            raise AssertionError("fold lift failed to close")
-        steps.extend(conn)
-    return Path(base_pre, tuple(steps))
+            else:
+                raise RuntimeError("fold lift failed to connect")
+        out.append((c, d))
+        cur = to
+    conn = connector(cur, base_pre)
+    if conn is None:
+        raise RuntimeError("fold lift failed to close")
+    return tuple(out) + conn
 
 
 def fold_all(g: FGraph) -> list[MoveRecord]:
@@ -502,83 +605,50 @@ def fold_all(g: FGraph) -> list[MoveRecord]:
         raise ValueError("folding tracks bases; set g.base first")
     records: list[MoveRecord] = []
     pre = g.basis_data(g.base)
-    while True:
-        hit = _find_conflict(g)
-        if hit is None:
-            break
+    while (hit := _find_conflict(g)) is not None:
         v, outgoing, e1, e2 = hit
-        pre_parent, pre_nontree, pre_loops, pre_labels = pre
-        pre_index = {e: j + 1 for j, e in enumerate(pre_nontree)}
         pre_ends = {e: (o, t) for e, (o, t, _) in g.edges.items()}
         base_pre = g.base
-        rank_pre = g.rank()
-        if outgoing:
-            far1, far2 = g.edges[e1][1], g.edges[e2][1]
-        else:
-            far1, far2 = g.edges[e1][0], g.edges[e2][0]
-
-        def connector(a, b, far1=far1, far2=far2, e1=e1, e2=e2, outgoing=outgoing):
-            if a == b:
-                return ()
-            if {a, b} != {far1, far2}:
-                return None
-            if outgoing:
-                first, second = ((e1, -1), (e2, 1))
-            else:
-                first, second = ((e1, 1), (e2, -1))
-            if a == far1:
-                return (first, second)
-            return ((second[0], -second[1]), (first[0], -first[1]))
+        far = 1 if outgoing else 0
+        far1, far2 = g.edges[e1][far], g.edges[e2][far]
 
         # mutate: merge e2 into e1, far vertices together
         g._remove_edge(e2)
-        keep = drop = None
+        merged_vertices = {}
         if far1 != far2:
             keep, drop = min(far1, far2), max(far1, far2)
             g._merge_vertices(keep, drop)
+            merged_vertices[drop] = keep
 
-        vertex_map = {u: u for u in g.vertices}
-        if drop is not None:
-            vertex_map[drop] = keep
-        edge_map = {e: e for e in g.edges}
-        edge_map[e2] = e1
-
-        post = g.basis_data(g.base)
-        post_parent, post_nontree, post_loops, post_labels = post
-        post_index = {e: j + 1 for j, e in enumerate(post_nontree)}
-
-        post_in_pre = []
-        for lp in post_loops:
-            pre_path = _build_pre_path(pre_ends, base_pre, lp, e1, e2, connector)
-            post_in_pre.append(FGraph.crossing_read(g, pre_index, pre_path))
-        pre_in_post = []
-        for lp in pre_loops:
-            mapped = tuple((edge_map[e], d) for e, d in lp.steps)
-            pre_in_post.append(FGraph.crossing_read(g, post_index, Path(g.base, mapped)))
-
-        # folds are exact in the free group: verify by free reduction
-        for j, w in enumerate(post_in_pre):
-            assert substitute(w, pre_labels) == post_labels[j]
-        for i, w in enumerate(pre_in_post):
-            assert substitute(w, post_labels) == pre_labels[i]
-        assert g.rank() <= rank_pre
-
-        records.append(MoveRecord(
-            kind="Fold",
-            vertex_map=vertex_map,
-            edge_map=edge_map,
-            pre_basis=pre_labels,
-            post_basis=post_labels,
-            post_in_pre=tuple(post_in_pre),
-            pre_in_post=tuple(pre_in_post),
+        record, pre = _record(
+            "Fold", g, pre,
+            lambda steps: _lift_fold(pre_ends, base_pre, steps, e1, e2, outgoing),
+            lambda steps: tuple((e1 if e == e2 else e, d) for e, d in steps),
+            0 if far1 != far2 else -1,
+            merged=(merged_vertices, {e2: e1}),
             detail={"at_vertex": v, "outgoing": outgoing, "edges": (e1, e2)},
-        ))
-        pre = post
+        )
+        records.append(record)
     return records
 
 
 # ---------------------------------------------------------------------------
-# Degree-one removal
+# Degree-one removal and base relocation
+
+
+def relocate_base(g: FGraph, pre, walk: tuple, conjugator: Word, detail: dict):
+    """Record a base move along ``walk``, from the old base to ``g.base``.
+
+    ``pre`` is the pre-move ``basis_data``; ``walk`` and ``conjugator``
+    (its label) are empty when the base stayed put.  Basis loops lift by
+    going out along the walk and back: walk + loop + walk^-1.  Returns
+    the "R" record and the post-move basis data.
+    """
+    back = reverse_steps(walk)
+    return _record("R", g, pre,
+                   lambda steps: walk + steps + back,
+                   lambda steps: back + steps + walk,
+                   0, conjugator=conjugator, detail=detail)
 
 
 def remove_degree_one(g: FGraph) -> list[MoveRecord]:
@@ -592,39 +662,20 @@ def remove_degree_one(g: FGraph) -> list[MoveRecord]:
     if g.base is None:
         raise ValueError("degree-one removal tracks bases; set g.base first")
     records: list[MoveRecord] = []
-    while True:
-        leaves = sorted(v for v in g.vertices if g.degree(v) == 1)
-        if not leaves:
-            break
+    pre = None
+    while leaves := sorted(v for v in g.vertices if g.degree(v) == 1):
         v = leaves[0]
-        e = next(iter(g._out[v] | g._in[v]))
-        o, t, lbl = g.edges[e]
-        far = t if o == v else o
-        pre_labels = g.free_basis()
-        conjugator: Word = ()
-        if v == g.base:
-            conjugator = (lbl,) if o == v else (-lbl,)
-            g.base = far
+        pre = pre or g.basis_data(g.base)
+        [(e, d)] = g.stubs(v)
+        walk = ((e, d),) if v == g.base else ()
+        conjugator = tuple(g.step_letter(*s) for s in walk)
+        if walk:
+            g.base = g.step_ends(e, d)[1]
         g._remove_edge(e)
         g._remove_isolated_vertex(v)
-        post_labels = g.free_basis()
-        k = len(post_labels)
-        assert len(pre_labels) == k
-        identity = tuple((j + 1,) for j in range(k))
-        for j in range(k):
-            expected = free_reduce(concat(inverse(conjugator), pre_labels[j], conjugator))
-            assert post_labels[j] == expected
-        records.append(MoveRecord(
-            kind="R",
-            vertex_map={u: u for u in g.vertices},
-            edge_map={eid: eid for eid in g.edges},
-            pre_basis=pre_labels,
-            post_basis=post_labels,
-            post_in_pre=identity,
-            pre_in_post=identity,
-            conjugator=conjugator,
-            detail={"removed_vertex": v, "removed_edge": e},
-        ))
+        record, pre = relocate_base(g, pre, walk, conjugator,
+                                    {"removed_vertex": v, "removed_edge": e})
+        records.append(record)
     return records
 
 
@@ -655,22 +706,12 @@ def maximal_arcs(g: FGraph) -> list[Arc]:
     used: set[int] = set()
     arcs: list[Arc] = []
 
-    def stubs(v):
-        out = [(e, 1) for e in g._out[v]]
-        inn = [(e, -1) for e in g._in[v]]
-        return sorted(out + inn)
-
     def walk(v, e, d):
         steps = [(e, d)]
         used.add(e)
         cur = g.step_ends(e, d)[1]
         while g.degree(cur) == 2 and cur != v:
-            nxt = None
-            for e2, d2 in stubs(cur):
-                if e2 in used:
-                    continue
-                nxt = (e2, d2)
-                break
+            nxt = next((s for s in g.stubs(cur) if s[0] not in used), None)
             if nxt is None:
                 break
             steps.append(nxt)
@@ -680,14 +721,14 @@ def maximal_arcs(g: FGraph) -> list[Arc]:
 
     junctions = sorted(v for v in g.vertices if g.degree(v) != 2)
     for v in junctions:
-        for e, d in stubs(v):
+        for e, d in g.stubs(v):
             if e in used:
                 continue
             steps, end = walk(v, e, d)
             arcs.append(Arc(len(arcs), tuple(steps), closed=(end == v)))
     # leftover lone cycles (all degree two)
     for v in sorted(g.vertices):
-        for e, d in stubs(v):
+        for e, d in g.stubs(v):
             if e in used:
                 continue
             steps, end = walk(v, e, d)
@@ -697,25 +738,30 @@ def maximal_arcs(g: FGraph) -> list[Arc]:
     return arcs
 
 
+def arc_owner(g: FGraph) -> dict:
+    """Edge id -> index of the maximal arc containing it."""
+    return {e: a.index for a in maximal_arcs(g) for e, _ in a.steps}
+
+
 # ---------------------------------------------------------------------------
 # Run replacement (shared by M1 / M2 / AO witnesses)
 
 
-def _replace_runs(loop: Path, target: Sequence[tuple], replacement: Sequence[tuple]) -> Path:
-    """Replace every traversal of the step sequence ``target`` in ``loop``.
+def _replace_runs(steps: Sequence[tuple], target: Sequence[tuple],
+                  replacement: Sequence[tuple]) -> tuple:
+    """Replace every traversal of the step sequence ``target`` in a walk.
 
     ``target``'s interior vertices must be passable only along it (degree
     two), so any use of its edges is a full forward or backward run; each
     forward run becomes ``replacement``, each backward run its reverse.
     """
-    if not target:
-        return loop
-    pos = {e: i for i, (e, _) in enumerate(target)}
-    assert len(pos) == len(target), "target steps must use distinct edges"
-    out = []
-    steps = loop.steps
-    i = 0
+    target = tuple(target)
     n = len(target)
+    pos = {e: i for i, (e, _) in enumerate(target)}
+    if len(pos) != n:
+        raise ValueError("target steps must use distinct edges")
+    out = []
+    i = 0
     while i < len(steps):
         e, d = steps[i]
         k = pos.get(e)
@@ -723,24 +769,36 @@ def _replace_runs(loop: Path, target: Sequence[tuple], replacement: Sequence[tup
             out.append(steps[i])
             i += 1
             continue
-        if d == target[k][1]:
-            assert k == 0, "partial forward entry into replaced path"
-            assert tuple(steps[i:i + n]) == tuple(target), "broken forward run"
-            out.extend(replacement)
-            i += n
-        else:
-            assert k == n - 1, "partial backward entry into replaced path"
-            expect = tuple((te, -td) for te, td in reversed(target))
-            assert tuple(steps[i:i + n]) == expect, "broken backward run"
-            out.extend((re, -rd) for re, rd in reversed(replacement))
-            i += n
-    return Path(loop.start, tuple(out))
+        run, new = ((target, replacement) if d == target[k][1]
+                    else (reverse_steps(target), reverse_steps(replacement)))
+        if tuple(steps[i:i + n]) != run:
+            raise RuntimeError("walk uses part of a replaced path")
+        out.extend(new)
+        i += n
+    return tuple(out)
 
 
 def _structural_path_check(g: FGraph, p: Path) -> None:
     g.path_end(p)  # raises if steps are not consecutive
     if not g.path_is_reduced(p):
         raise ValueError("path must be reduced")
+
+
+def _remove_edges(g: FGraph, edges: Sequence[int], candidates) -> tuple:
+    """Delete ``edges``, then every non-base vertex among ``candidates``
+    left isolated; returns those vertices, sorted."""
+    for e in edges:
+        g._remove_edge(e)
+    isolated = tuple(v for v in sorted(candidates) if g.degree(v) == 0 and v != g.base)
+    for v in isolated:
+        g._remove_isolated_vertex(v)
+    return isolated
+
+
+def _check_inside_one_arc(g: FGraph, p: Path) -> None:
+    owner = arc_owner(g)
+    if len({owner[e] for e, _ in p.steps}) != 1:
+        raise ValueError("path must lie inside a single maximal arc")
 
 
 # ---------------------------------------------------------------------------
@@ -759,63 +817,21 @@ def apply_M1(g: FGraph, p: Path, v_prime: Word) -> MoveRecord:
     _structural_path_check(g, p)
     start = p.start
     end = g.path_end(p)
-    pre_parent, pre_nontree, pre_loops, pre_labels = g.basis_data(g.base)
-    rank_pre = g.rank()
-
-    added_vertices = []
-    added_edges = []
-    new_steps = []
-    cur = start
-    for i, x in enumerate(v_prime):
-        nxt = end if i == len(v_prime) - 1 else g.add_vertex()
-        if nxt != end:
-            added_vertices.append(nxt)
-        if x > 0:
-            e = g.add_edge(cur, nxt, x)
-            new_steps.append((e, 1))
-        else:
-            e = g.add_edge(nxt, cur, -x)
-            new_steps.append((e, -1))
-        added_edges.append((e, *g.edges[e]))
-        cur = nxt
-
-    post_parent, post_nontree, post_loops, post_labels = g.basis_data(g.base)
-    post_index = {e: j + 1 for j, e in enumerate(post_nontree)}
-    pre_index = {e: j + 1 for j, e in enumerate(pre_nontree)}
-
-    pre_in_post = tuple(FGraph.crossing_read(g, post_index, lp) for lp in pre_loops)
-    post_in_pre = tuple(
-        FGraph.crossing_read(g, pre_index, _replace_runs(lp, new_steps, p.steps))
-        for lp in post_loops)
-    assert g.rank() == rank_pre + 1
-
-    return MoveRecord(
-        kind="M1",
-        vertex_map={u: u for u in g.vertices if u not in added_vertices},
-        edge_map={e: e for e in g.edges if e not in {a[0] for a in added_edges}},
-        added_vertices=tuple(added_vertices),
-        added_edges=tuple(added_edges),
-        pre_basis=pre_labels,
-        post_basis=post_labels,
-        post_in_pre=post_in_pre,
-        pre_in_post=pre_in_post,
+    pre = g.basis_data(g.base)
+    new_steps, added_vertices = g.add_path(start, end, v_prime)
+    return _record(
+        "M1", g, pre,
+        lambda steps: _replace_runs(steps, new_steps, p.steps),
+        lambda steps: steps,
+        1,
+        added_vertices=added_vertices,
+        added_edges=tuple((e, *g.edges[e]) for e, _ in new_steps),
         detail={"path_start": start, "path_end": end, "attached": v_prime},
-    )
+    )[0]
 
 
 # ---------------------------------------------------------------------------
 # M2: remove a redundant subpath
-
-
-def _check_inside_one_arc(g: FGraph, p: Path) -> None:
-    arcs = maximal_arcs(g)
-    owner = {}
-    for a in arcs:
-        for e, _ in a.steps:
-            owner[e] = a.index
-    ids = {owner[e] for e, _ in p.steps}
-    if len(ids) != 1:
-        raise ValueError("path must lie inside a single maximal arc")
 
 
 def apply_M2(g: FGraph, p: Path, alt: Path) -> MoveRecord:
@@ -838,47 +854,22 @@ def apply_M2(g: FGraph, p: Path, alt: Path) -> MoveRecord:
     if set(e for e, _ in alt.steps) & set(p_edges):
         raise ValueError("alternative path may not use edges of p")
 
-    # connectivity after removal
     trial = g.copy()
-    for e in p_edges:
-        trial._remove_edge(e)
-    for v in [u for u in trial.vertices if trial.degree(u) == 0 and u != trial.base]:
-        trial._remove_isolated_vertex(v)
+    _remove_edges(trial, p_edges, trial.vertices)
     if not trial.is_connected() or (g.base is not None and g.base not in trial.vertices):
         raise ValueError("removal would disconnect the graph")
 
-    pre_parent, pre_nontree, pre_loops, pre_labels = g.basis_data(g.base)
-    rank_pre = g.rank()
+    pre = g.basis_data(g.base)
+    removed_vertices = _remove_edges(g, p_edges, g.vertices)
 
-    removed_vertices = []
-    for e in p_edges:
-        g._remove_edge(e)
-    for v in sorted(g.vertices):
-        if g.degree(v) == 0 and v != g.base:
-            g._remove_isolated_vertex(v)
-            removed_vertices.append(v)
-
-    post_parent, post_nontree, post_loops, post_labels = g.basis_data(g.base)
-    post_index = {e: j + 1 for j, e in enumerate(post_nontree)}
-    pre_index = {e: j + 1 for j, e in enumerate(pre_nontree)}
-
-    post_in_pre = tuple(FGraph.crossing_read(g, pre_index, lp) for lp in post_loops)
-    pre_in_post = tuple(
-        FGraph.crossing_read(g, post_index, _replace_runs(lp, p.steps, alt.steps))
-        for lp in pre_loops)
-    assert g.rank() == rank_pre - 1
-
-    return MoveRecord(
-        kind="M2",
-        vertex_map={u: u for u in g.vertices},
-        edge_map={e: e for e in g.edges},
-        pre_basis=pre_labels,
-        post_basis=post_labels,
-        post_in_pre=post_in_pre,
-        pre_in_post=pre_in_post,
+    return _record(
+        "M2", g, pre,
+        lambda steps: steps,
+        lambda steps: _replace_runs(steps, p.steps, alt.steps),
+        -1,
         detail={"removed_edges": tuple(p_edges),
-                "removed_vertices": tuple(removed_vertices)},
-    )
+                "removed_vertices": removed_vertices},
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -918,79 +909,27 @@ def apply_AO(g: FGraph, p1: Path, p_prime: Path, p2: Path, y: Word) -> MoveRecor
         raise ValueError("AO requires |p_prime| > |y|")
     if not y and start != end:
         raise ValueError("empty y requires a closed composite path")
-    # interior vertices of p_prime
-    interior = []
-    cur = p_prime.start
-    for e, d in p_prime.steps[:-1]:
-        cur = g.step_ends(e, d)[1]
-        interior.append(cur)
+    interior = {g.step_ends(e, d)[1] for e, d in p_prime.steps[:-1]}
     if g.base in interior:
         raise ValueError("removed path may not contain the base as interior")
 
-    pre_parent, pre_nontree, pre_loops, pre_labels = g.basis_data(g.base)
-    rank_pre = g.rank()
-    edges_pre = g.num_edges()
+    pre = g.basis_data(g.base)
+    # attach f: t(p) -> o(p) labeled y, then remove p_prime
+    f_steps, added_vertices = g.add_path(end, start, y)
+    added_edges = tuple((e, *g.edges[e]) for e, _ in f_steps)
+    removed_vertices = _remove_edges(g, pp_edges, interior)
 
-    # attach f: t(p) -> o(p) labeled y
-    added_vertices = []
-    added_edges = []
-    f_steps = []
-    cur = end
-    for i, x in enumerate(y):
-        nxt = start if i == len(y) - 1 else g.add_vertex()
-        if nxt != start:
-            added_vertices.append(nxt)
-        if x > 0:
-            e = g.add_edge(cur, nxt, x)
-            f_steps.append((e, 1))
-        else:
-            e = g.add_edge(nxt, cur, -x)
-            f_steps.append((e, -1))
-        added_edges.append((e, *g.edges[e]))
-        cur = nxt
-
-    # remove p_prime
-    removed_vertices = []
-    for e in pp_edges:
-        g._remove_edge(e)
-    for v in sorted(set(interior)):
-        if g.degree(v) == 0:
-            g._remove_isolated_vertex(v)
-            removed_vertices.append(v)
-    if not g.is_connected():
-        raise AssertionError("AO detour failed to keep the graph connected")
-
-    post_parent, post_nontree, post_loops, post_labels = g.basis_data(g.base)
-    post_index = {e: j + 1 for j, e in enumerate(post_nontree)}
-    pre_index = {e: j + 1 for j, e in enumerate(pre_nontree)}
-
-    # pre loops: each p_prime-run detours along p1^-1 f^-1 p2^-1
-    detour = (Path(0, p1.steps).reversed_from(0).steps
-              + Path(0, tuple(f_steps)).reversed_from(0).steps
-              + Path(0, p2.steps).reversed_from(0).steps)
-    pre_in_post = tuple(
-        FGraph.crossing_read(g, post_index, _replace_runs(lp, p_prime.steps, detour))
-        for lp in pre_loops)
-    # post loops: each f-run is replaced by the reverse of p
-    rev_p = Path(0, p.steps).reversed_from(0).steps
-    post_in_pre = tuple(
-        FGraph.crossing_read(g, pre_index, _replace_runs(lp, tuple(f_steps), rev_p))
-        for lp in post_loops)
-
-    assert g.num_edges() == edges_pre - len(pp_edges) + len(y)
-    assert g.rank() == (rank_pre if y else rank_pre - 1)
-
-    return MoveRecord(
-        kind="AO",
-        vertex_map={u: u for u in g.vertices if u not in added_vertices},
-        edge_map={e: e for e in g.edges if e not in {a[0] for a in added_edges}},
-        added_vertices=tuple(added_vertices),
-        added_edges=tuple(added_edges),
-        pre_basis=pre_labels,
-        post_basis=post_labels,
-        post_in_pre=post_in_pre,
-        pre_in_post=pre_in_post,
+    # post loops: each f-run is replaced by the reverse of p; pre loops:
+    # each p_prime-run detours along p1^-1 f^-1 p2^-1
+    detour = reverse_steps(p1.steps) + reverse_steps(f_steps) + reverse_steps(p2.steps)
+    return _record(
+        "AO", g, pre,
+        lambda steps: _replace_runs(steps, f_steps, reverse_steps(p.steps)),
+        lambda steps: _replace_runs(steps, p_prime.steps, detour),
+        0 if y else -1,
+        added_vertices=added_vertices,
+        added_edges=added_edges,
         detail={"removed_edges": tuple(pp_edges),
-                "removed_vertices": tuple(removed_vertices),
+                "removed_vertices": removed_vertices,
                 "attached": y},
-    )
+    )[0]

@@ -387,23 +387,31 @@ def sample_table_jsonable(table: SampleTable) -> dict:
     }
 
 
-def membership_report_jsonable(report: MembershipReport) -> dict:
-    """A JSON-ready view of a membership report, with "C1"/"C2"/"C3" ids."""
-    c1 = {
-        "ok": report.c1.ok,
-        "piece": format_word(report.c1.piece) if report.c1.piece is not None else None,
-        "relator_index": report.c1.relator_index,
-        "ratio": _fraction_str(report.c1.ratio) if report.c1.ratio is not None else None,
+def cprime_jsonable(c: CprimeResult) -> dict:
+    """A JSON-ready view of a piece-bound (C1) result."""
+    return {
+        "ok": c.ok,
+        "piece": format_word(c.piece) if c.piece is not None else None,
+        "relator_index": c.relator_index,
+        "ratio": _fraction_str(c.ratio) if c.ratio is not None else None,
     }
-    c2 = [
+
+
+def powers_jsonable(powers) -> list:
+    """A JSON-ready view of per-relator proper-power (C2) statuses."""
+    return [
         {
             "relator_index": st.relator_index,
             "is_proper_power": st.is_power,
             "root": format_word(st.root),
             "exponent": st.exponent,
         }
-        for st in report.c2
+        for st in powers
     ]
+
+
+def membership_report_jsonable(report: MembershipReport) -> dict:
+    """A JSON-ready view of a membership report, with "C1"/"C2"/"C3" ids."""
     c3 = None
     if report.c3 is not None:
         violation = None
@@ -423,7 +431,7 @@ def membership_report_jsonable(report: MembershipReport) -> dict:
     return {
         "verdict": report.verdict,
         "failed_condition": report.failed_condition,
-        "C1": c1,
-        "C2": c2,
+        "C1": cprime_jsonable(report.c1),
+        "C2": powers_jsonable(report.c2),
         "C3": c3,
     }

@@ -28,8 +28,7 @@ returned.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Optional
 
 from .fgraph import (
@@ -37,10 +36,11 @@ from .fgraph import (
     MoveRecord,
     Path,
     apply_AO,
+    arc_owner,
     bouquet,
     fold_all,
     is_alphabet_bouquet,
-    maximal_arcs,
+    relocate_base,
     remove_degree_one,
 )
 from .genericity import ClassParams, PowerStatus, validate_params
@@ -48,6 +48,7 @@ from .readability import ReadabilityQuery, witness_is_valid
 from .smallcancel import (
     CprimeResult,
     Presentation,
+    _require_c16,
     check_Cprime,
     find_long_relator_path,
     is_equal_in_G,
@@ -173,15 +174,9 @@ def verify_witness(w: C3Witness, p: Presentation, params: ClassParams) -> bool:
 
 
 def _build_witness(g: FGraph, lrp, p: Presentation, params: ClassParams) -> C3Witness:
-    arcs = maximal_arcs(g)
-    owner = {}
-    for a in arcs:
-        for e, _ in a.steps:
-            owner[e] = a.index
-    carrying = sorted({owner[e] for e, _ in lrp.path.steps})
-    edge_ids = sorted(
-        e for a in arcs if a.index in carrying for e in a.edge_set()
-    )
+    owner = arc_owner(g)
+    carrying = {owner[e] for e, _ in lrp.path.steps}
+    edge_ids = sorted(e for e, a in owner.items() if a in carrying)
     triples = tuple(
         (g.edges[e][0], g.edges[e][1], g.edges[e][2]) for e in edge_ids
     )
@@ -226,10 +221,7 @@ def _select_window(g: FGraph, path: Path) -> Optional[tuple[int, int]]:
     if not steps:
         return None
     count = Counter(e for e, _ in steps)
-    owner = {}
-    for a in maximal_arcs(g):
-        for e, _ in a.steps:
-            owner[e] = a.index
+    owner = arc_owner(g)
     best: Optional[tuple[int, int]] = None
     run_start: Optional[int] = None
     prev_vertex = path.start
@@ -305,54 +297,19 @@ def _hop_base(g: FGraph) -> Optional[MoveRecord]:
     if all(g.degree(v) == 2 for v in g.vertices):
         return None
     old = g.base
-    pre_parent, pre_nontree, pre_loops, pre_labels = g.basis_data(old)
-    pre_index = {e: k + 1 for k, e in enumerate(pre_nontree)}
-
-    def stubs(v):
-        return sorted([(e, 1) for e in g._out[v]] + [(e, -1) for e in g._in[v]])
-
-    walk = [stubs(old)[0]]
+    pre = g.basis_data(old)
+    # The graph is connected (basis_data checked) and not a lone cycle, so
+    # the arc through the base ends at a junction.
+    walk = [g.stubs(old)[0]]
     cur = g.step_ends(*walk[-1])[1]
     while g.degree(cur) == 2:
         back = (walk[-1][0], -walk[-1][1])
-        nxt = next(s for s in stubs(cur) if s != back)
-        walk.append(nxt)
-        cur = g.step_ends(*nxt)[1]
-        assert len(walk) <= g.num_edges()
+        walk.append(next(s for s in g.stubs(cur) if s != back))
+        cur = g.step_ends(*walk[-1])[1]
     walk = tuple(walk)
-    g.base = cur
-    post_parent, post_nontree, post_loops, post_labels = g.basis_data(cur)
-    post_index = {e: k + 1 for k, e in enumerate(post_nontree)}
     conj = g.path_label(Path(old, walk))
-    rev = Path(old, walk).reversed_from(cur).steps
-
-    post_in_pre = tuple(
-        g.crossing_read(pre_index, Path(old, walk + lp.steps + rev))
-        for lp in post_loops
-    )
-    pre_in_post = tuple(
-        g.crossing_read(post_index, Path(cur, rev + lp.steps + walk))
-        for lp in pre_loops
-    )
-    for j, u in enumerate(post_in_pre):
-        assert substitute(u, pre_labels) == free_reduce(
-            concat(conj, post_labels[j], inverse(conj))
-        )
-    for i, u in enumerate(pre_in_post):
-        assert substitute(u, post_labels) == free_reduce(
-            concat(inverse(conj), pre_labels[i], conj)
-        )
-    return MoveRecord(
-        kind="R",
-        vertex_map={u: u for u in g.vertices},
-        edge_map={e: e for e in g.edges},
-        pre_basis=pre_labels,
-        post_basis=post_labels,
-        post_in_pre=post_in_pre,
-        pre_in_post=pre_in_post,
-        conjugator=conj,
-        detail={"base_hop": True, "walk": walk},
-    )
+    g.base = cur
+    return relocate_base(g, pre, walk, conj, {"base_hop": True, "walk": walk})[0]
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +456,7 @@ def verify_trace(t: NielsenTrace, p: Presentation) -> bool:
     equal the accumulated one, and the final snapshot must literally be
     the alphabet tuple.
     """
-    c6 = check_Cprime(p, Fraction(1, 6))
-    if not c6.ok:
-        raise ValueError("trace verification requires a C'(1/6) presentation")
+    _require_c16(p)  # here too: a trace with no steps never reaches Dehn
     m = p.alphabet.m
     try:
         current = tuple(
@@ -579,30 +534,53 @@ def trace_jsonable(t: NielsenTrace) -> dict:
     }
 
 
+def _indices(values, limit: Optional[int] = None) -> tuple:
+    """Signed 1-based indices: nonzero ints, at most ``limit`` in size."""
+    values = tuple(values)
+    for k in values:
+        if type(k) is not int or k == 0 or (limit is not None and abs(k) > limit):
+            raise ValueError(f"bad basis index {k!r}")
+    return values
+
+
+def _word(text) -> Word:
+    if not isinstance(text, str):
+        raise ValueError(f"bad word {text!r}: words are strings")
+    return parse_word(text)
+
+
+def _words(texts) -> tuple:
+    if isinstance(texts, str):
+        raise ValueError(f"bad word list {texts!r}")
+    return tuple(_word(s) for s in texts)
+
+
 def trace_from_jsonable(data: dict) -> NielsenTrace:
     """Rebuild a verifiable trace from its JSON form.
 
     Graph-level bookkeeping (vertex and edge maps) is not serialized, so
     the records round-trip only what :func:`verify_trace` consumes.
+    Malformed documents raise KeyError, TypeError or ValueError: words
+    must be strings and basis indices nonzero integers.
     """
-    initial = tuple(parse_word(s) for s in data["initial_tuple"])
-    arrangement = tuple(int(k) for k in data["initial_arrangement"])
+    initial = _words(data["initial_tuple"])
+    arrangement = _indices(data["initial_arrangement"], len(initial))
     previous = tuple(
         initial[k - 1] if k > 0 else inverse(initial[-k - 1])
         for k in arrangement
     )
     steps = []
     for row in data["steps"]:
-        snapshot = tuple(parse_word(s) for s in row["snapshot"])
+        snapshot = _words(row["snapshot"])
         record = MoveRecord(
             kind=row["kind"],
             vertex_map={},
             edge_map={},
             pre_basis=previous,
             post_basis=snapshot,
-            post_in_pre=tuple(tuple(w) for w in row["post_in_pre"]),
-            pre_in_post=tuple(tuple(w) for w in row["pre_in_post"]),
-            conjugator=parse_word(row["conjugator"]),
+            post_in_pre=tuple(_indices(w) for w in row["post_in_pre"]),
+            pre_in_post=tuple(_indices(w) for w in row["pre_in_post"]),
+            conjugator=_word(row["conjugator"]),
         )
         steps.append((record, snapshot))
         previous = snapshot
@@ -610,8 +588,8 @@ def trace_from_jsonable(data: dict) -> NielsenTrace:
         initial_tuple=initial,
         initial_arrangement=arrangement,
         steps=tuple(steps),
-        final_tuple=tuple(parse_word(s) for s in data["final_tuple"]),
-        conjugator=parse_word(data["conjugator"]),
+        final_tuple=_words(data["final_tuple"]),
+        conjugator=_word(data["conjugator"]),
     )
 
 

@@ -48,7 +48,7 @@ from itertools import permutations, product
 from typing import Optional
 
 from .fgraph import FGraph, Path
-from .words import Word, inverse, is_reduced, word_key
+from .words import Word, inverse, is_reduced, signed_letters, word_key
 
 READABLE = "Readable"
 NOT_READABLE = "NotReadable"
@@ -142,16 +142,8 @@ def witness_is_valid(query: ReadabilityQuery, graph: FGraph, path: Path) -> bool
 def _interval_witness(word: Word) -> tuple[FGraph, Path]:
     """The trivial witness: a simple path of len(word) fresh edges."""
     g = FGraph()
-    prev = g.add_vertex()
-    steps = []
-    for x in word:
-        nxt = g.add_vertex()
-        if x > 0:
-            steps.append((g.add_edge(prev, nxt, x), 1))
-        else:
-            steps.append((g.add_edge(nxt, prev, -x), -1))
-        prev = nxt
-    return g, Path(0, tuple(steps))
+    steps, _ = g.add_path(g.add_vertex(), None, word)
+    return g, Path(0, steps)
 
 
 class _BudgetExhausted(Exception):
@@ -191,7 +183,7 @@ def is_readable(query: ReadabilityQuery) -> ReadabilityAnswer:
     edges: list[tuple[int, int, int]] = []  # (origin, target, label)
     labels_present: dict[int, int] = {}
     steps: list[tuple[int, int]] = []
-    signed = [s * k for k in range(1, query.m + 1) for s in (1, -1)]
+    signed = signed_letters(query.m)
 
     def canon_key(j: int, cur: int, n_vertices: int) -> tuple:
         # Relabel vertices by a deterministic traversal from cur so that

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .fgraph import FGraph, Path, maximal_arcs
+from .fgraph import FGraph, Path, arc_owner
 from .words import (
     Alphabet,
     Word,
@@ -363,10 +363,7 @@ def _split_segments(g: FGraph, path: Path) -> tuple:
     """(arc id, start, stop) runs of the path, split at junction vertices."""
     if not path.steps:
         return ()
-    owner = {}
-    for a in maximal_arcs(g):
-        for e, _ in a.steps:
-            owner[e] = a.index
+    owner = arc_owner(g)
     bounds = [0]
     cur = path.start
     for idx, (e, d) in enumerate(path.steps):

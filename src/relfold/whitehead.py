@@ -43,6 +43,7 @@ from .words import (
     inverse,
     letter_key,
     parse_word,
+    signed_letters,
     substitute,
     word_key,
 )
@@ -144,8 +145,7 @@ def multiplier_moves(m: int) -> tuple[Multiplier, ...]:
     """All multiplier moves, in a fixed enumeration: multiplier letters
     by alphabet order, cut sets by a two-bits-per-generator mask."""
     moves = []
-    letters = sorted((s * k for k in range(1, m + 1) for s in (1, -1)), key=letter_key)
-    for a in letters:
+    for a in signed_letters(m):
         others = [g for g in range(1, m + 1) if g != abs(a)]
         for mask in range(4 ** len(others)):
             cut = {a}

@@ -32,6 +32,11 @@ def letter_key(x: int) -> int:
     return 2 * (abs(x) - 1) + (0 if x > 0 else 1)
 
 
+def signed_letters(m: int) -> list[int]:
+    """The 2m signed letters of rank m in the order a, A, b, B, ..."""
+    return [s * k for k in range(1, m + 1) for s in (1, -1)]
+
+
 def word_key(w: Sequence[int]) -> tuple:
     return tuple(letter_key(x) for x in w)
 
@@ -204,10 +209,7 @@ class Alphabet:
 
     def letters(self) -> list[int]:
         """Signed letters in the order a, A, b, B, ..."""
-        out = []
-        for i in range(1, self.m + 1):
-            out.extend((i, -i))
-        return out
+        return signed_letters(self.m)
 
     def check_word(self, w: Sequence[int]) -> Word:
         w = tuple(w)
@@ -261,13 +263,6 @@ def format_word(w: Sequence[int]) -> str:
 # ---------------------------------------------------------------------------
 # Counting and exact uniform sampling
 
-def _letters(m: int) -> list[int]:
-    out = []
-    for i in range(1, m + 1):
-        out.extend((i, -i))
-    return out
-
-
 @lru_cache(maxsize=16)
 def _completion_table(m: int, t: int, first: int) -> list[dict[int, int]]:
     """B[j][y] = number of ways to fill positions j+1..t of a reduced word
@@ -276,7 +271,7 @@ def _completion_table(m: int, t: int, first: int) -> list[dict[int, int]]:
 
     Positions are 1-based; the table is indexed B[j] for j in 1..t.
     """
-    letters = _letters(m)
+    letters = signed_letters(m)
     B: list[dict[int, int]] = [dict() for _ in range(t + 1)]
     B[t] = {y: 1 for y in letters}
     for j in range(t - 1, 0, -1):
@@ -310,7 +305,7 @@ def count_cyclically_reduced(m: int, t: int) -> int:
     if t == 0:
         return 1
     total = 0
-    for first in _letters(m):
+    for first in signed_letters(m):
         total += _completion_table(m, t, first)[1][first]
     return total
 
@@ -329,7 +324,7 @@ def random_cyclically_reduced(m: int, t: int, rng: random.Random) -> Word:
     """
     if t < 1:
         raise ValueError("length must be at least 1")
-    letters = _letters(m)
+    letters = signed_letters(m)
     # first letter from its exact marginal
     weights = [_completion_table(m, t, f)[1][f] for f in letters]
     total = sum(weights)
@@ -370,7 +365,7 @@ def random_cyclically_reduced_up_to(m: int, t: int, rng: random.Random) -> Word:
 
 def enumerate_reduced(m: int, t: int) -> Iterator[Word]:
     """All freely reduced words of length exactly t (test oracle)."""
-    letters = _letters(m)
+    letters = signed_letters(m)
 
     def rec(prefix: list[int]):
         if len(prefix) == t:

@@ -215,6 +215,23 @@ class TestVerify:
         bad.write_text('{"valid": true}')
         assert run_cli(["verify", pres, str(bad)]) == EX_USAGE
 
+    @pytest.mark.parametrize("field,bad", [
+        ("post_in_pre", "x"), ("post_in_pre", 1.5),
+        ("initial_arrangement", "1"), ("initial_arrangement", 1.5),
+        ("snapshot", 7),
+    ])
+    def test_mistyped_trace_exits_usage(self, tmp_path, capsys, smooth_relator, field, bad):
+        pres, trace = self.make_trace(tmp_path, smooth_relator)
+        doc = json.loads(trace.read_text())
+        if field == "initial_arrangement":
+            doc[field][0] = bad
+        else:
+            doc["steps"][0][field][0] = [bad] if field == "post_in_pre" else bad
+        trace.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli(["verify", pres, str(trace)]) == EX_USAGE
+        assert "not a trace document" in capsys.readouterr().err
+
     def test_loose_presentation_rejected(self, tmp_path, smooth_relator):
         _, trace = self.make_trace(tmp_path, smooth_relator)
         loose = write_presentation(tmp_path / "loose.txt", 2, "aabb")

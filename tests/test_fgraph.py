@@ -1,6 +1,11 @@
 """Tests for labeled graphs: folding, basis witnesses, arcs, moves."""
 
+import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -496,3 +501,49 @@ class TestAO:
         assert g.num_edges() == 4 - 3 + 2
         assert g.rank() == 1
         assert len(rec.added_edges) == 2
+
+
+# Feeds the shared move-record routine correct lifts, a lift that yields a
+# wrong basis word, and a wrong rank change; collects what each raises.
+POSTCHECK_PROBE = """
+from relfold.fgraph import _record, bouquet
+
+
+def postcheck_errors():
+    out = []
+    for lift_post, rank_change in ((lambda s: s, 0), (lambda s: (), 0), (lambda s: s, 1)):
+        g = bouquet([(1,), (2,)])
+        try:
+            _record("Fold", g, g.basis_data(g.base), lift_post, lambda s: s,
+                    rank_change, detail={})
+            out.append(None)
+        except RuntimeError as exc:
+            out.append(str(exc))
+    return out
+"""
+
+
+class TestMoveRecordPostconditions:
+    def check(self, errors):
+        ok, wrong_word, wrong_rank = errors
+        assert ok is None
+        assert "basis witness" in wrong_word
+        assert "rank" in wrong_rank
+
+    def test_wrong_lift_and_rank_raise(self):
+        namespace = {}
+        exec(POSTCHECK_PROBE, namespace)
+        self.check(namespace["postcheck_errors"]())
+
+    def test_checks_survive_optimize_flag(self):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        code = POSTCHECK_PROBE + (
+            "\nimport json\nprint(json.dumps([__debug__, postcheck_errors()]))\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        debug, errors = json.loads(proc.stdout)
+        assert debug is False  # asserts really are stripped in the child
+        self.check(errors)
