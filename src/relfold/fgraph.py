@@ -106,9 +106,8 @@ class MoveRecord:
             nid = self.edge_map[eid]
             no = self.vertex_map[o]
             nt = self.vertex_map[t]
-            if nid in out:
-                assert out[nid] == (no, nt, lbl)
-            out[nid] = (no, nt, lbl)
+            if out.setdefault(nid, (no, nt, lbl)) != (no, nt, lbl):
+                raise RuntimeError(f"edges merged into {nid} disagree")
         for eid, o, t, lbl in self.added_edges:
             out[eid] = (o, t, lbl)
         return sorted((eid, o, t, lbl) for eid, (o, t, lbl) in out.items())
@@ -732,9 +731,11 @@ def maximal_arcs(g: FGraph) -> list[Arc]:
             if e in used:
                 continue
             steps, end = walk(v, e, d)
-            assert end == v
+            if end != v:
+                raise RuntimeError("a lone cycle did not close up")
             arcs.append(Arc(len(arcs), tuple(steps), closed=True))
-    assert sum(len(a.steps) for a in arcs) == len(g.edges)
+    if sum(len(a.steps) for a in arcs) != len(g.edges):
+        raise RuntimeError("maximal arcs do not cover every edge once")
     return arcs
 
 

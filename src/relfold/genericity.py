@@ -41,7 +41,6 @@ from .words import (
     Alphabet,
     Word,
     format_word,
-    is_proper_power,
     power_decomposition,
     random_cyclically_reduced,
     random_cyclically_reduced_up_to,
@@ -141,8 +140,9 @@ class C3Status:
     ``violation`` is the first readable subword found, as a triple
     (relator index, subword, which query flagged it: "mu" for the plain
     rank bound m - 1, "muL" for rank bound L with the free-slot flag).
-    ``unknown_checks`` counts readability calls that gave ``Unknown``;
-    ``complete`` records whether the sweep visited every subword.
+    ``unknown_checks`` counts readability calls that gave ``Unknown``
+    (0 or 1: the sweep stops at the first); ``complete`` is False when
+    the node budget or an ``Unknown`` cut the sweep short.
     """
 
     violation: Optional[tuple[int, Word, str]]
@@ -169,6 +169,12 @@ class MembershipReport:
     failed_condition: Optional[str]
 
 
+def power_statuses(relators) -> tuple[PowerStatus, ...]:
+    """Condition (2) per relator: its root and maximal exponent."""
+    decomposed = (power_decomposition(r) for r in relators)
+    return tuple(PowerStatus(i, k >= 2, root, k) for i, (root, k) in enumerate(decomposed))
+
+
 def check_membership(
     p: Presentation, params: ClassParams, node_budget: Optional[int] = None
 ) -> MembershipReport:
@@ -178,60 +184,46 @@ def check_membership(
     if not ok:
         raise ValueError(f"invalid class parameters: requires {why}")
 
-    c2 = tuple(
-        PowerStatus(i, is_proper_power(r), *power_decomposition(r))
-        for i, r in enumerate(p.relators)
-    )
+    c2 = power_statuses(p.relators)
     c1 = check_Cprime(p, params.lam)
 
     if any(st.is_power for st in c2):
         return MembershipReport(c1, c2, None, NOT_IN_CLASS, "C2")
     if not c1.ok:
         return MembershipReport(c1, c2, None, NOT_IN_CLASS, "C1")
+    c3 = _sweep_subwords(p.relators, m, params, node_budget)
+    if c3.violation is not None:
+        return MembershipReport(c1, c2, c3, NOT_IN_CLASS, "C3")
+    if not c3.complete:
+        return MembershipReport(c1, c2, c3, UNDETERMINED, None)
+    return MembershipReport(c1, c2, c3, IN_CLASS, None)
 
+
+def _sweep_subwords(relators, m: int, params: ClassParams, node_budget) -> C3Status:
+    """Condition (3): ask both readability queries of every half-subword.
+
+    The sweep stops at the first readable subword, the first ``Unknown``
+    or when the shared node budget is spent.  A subword counts as checked
+    once neither query found it readable, or once one of them did.
+    """
     remaining = node_budget
     checked = 0
-    unknown = 0
-    complete = True
-    violation: Optional[tuple[int, Word, str]] = None
-    for i, r in enumerate(p.relators):
+    for i, r in enumerate(relators):
         for w in _iter_relevant_subwords(r):
-            subword_done = True
-            for which, rank_bound, low in (
-                ("mu", m - 1, False),
-                ("muL", params.L, True),
-            ):
+            for which, rank_bound, low in (("mu", m - 1, False), ("muL", params.L, True)):
                 if remaining is not None and remaining <= 0:
-                    complete = False
-                    subword_done = False
-                    break
-                query = ReadabilityQuery(
-                    w, m, params.mu, rank_bound, low, node_budget=remaining
+                    return C3Status(None, checked, 0, False)
+                ans = is_readable(
+                    ReadabilityQuery(w, m, params.mu, rank_bound, low, node_budget=remaining)
                 )
-                ans = is_readable(query)
                 if remaining is not None:
                     remaining -= ans.nodes_expanded
                 if ans.verdict == READABLE:
-                    violation = (i, w, which)
-                    break
+                    return C3Status((i, w, which), checked + 1, 0, True)
                 if ans.verdict == UNKNOWN:
-                    unknown += 1
-                    complete = False
-                    subword_done = False
-                    break
-            if subword_done:
-                checked += 1
-            if violation is not None or not complete:
-                break
-        if violation is not None or not complete:
-            break
-
-    c3 = C3Status(violation, checked, unknown, complete)
-    if violation is not None:
-        return MembershipReport(c1, c2, c3, NOT_IN_CLASS, "C3")
-    if not complete or unknown:
-        return MembershipReport(c1, c2, c3, UNDETERMINED, None)
-    return MembershipReport(c1, c2, c3, IN_CLASS, None)
+                    return C3Status(None, checked, 1, False)
+            checked += 1
+    return C3Status(None, checked, 0, True)
 
 
 @dataclass(frozen=True)
@@ -309,14 +301,8 @@ def sample_genericity(
             c2_ok = c1_ok and not any(st.is_power for st in report.c2)
             pass_c1 += c1_ok
             pass_c2 += c2_ok
-            if (
-                c2_ok
-                and report.c3 is not None
-                and report.c3.complete
-                and report.c3.violation is None
-                and report.c3.unknown_checks == 0
-            ):
-                pass_c3 += 1
+            # C1 and C2 passing means the sweep ran, so c3 is set.
+            pass_c3 += c2_ok and report.c3.complete and report.c3.violation is None
             pass_all += report.verdict == IN_CLASS
             unknown += report.verdict == UNDETERMINED
         fraction = (

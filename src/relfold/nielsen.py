@@ -43,7 +43,7 @@ from .fgraph import (
     relocate_base,
     remove_degree_one,
 )
-from .genericity import ClassParams, PowerStatus, validate_params
+from .genericity import ClassParams, power_statuses, validate_params
 from .readability import ReadabilityQuery, witness_is_valid
 from .smallcancel import (
     CprimeResult,
@@ -59,9 +59,7 @@ from .words import (
     format_word,
     free_reduce,
     inverse,
-    is_proper_power,
     parse_word,
-    power_decomposition,
     substitute,
 )
 
@@ -266,7 +264,8 @@ def _fire_or_witness(g: FGraph, lrp, p: Presentation, params: ClassParams):
     span = _select_window(g, Path(start, steps)) if steps else None
     if span is not None and (span[1] - span[0]) * den >= 3 * num * len(r):
         i, j = span
-        assert len(y) * den < 3 * num * len(r)
+        if len(y) * den >= 3 * num * len(r):
+            raise RuntimeError("surgery complement is too long")
         mid_start = start if i == 0 else g.path_end(Path(start, steps[:i]))
         mid_end = g.path_end(Path(start, steps[:j]))
         record = apply_AO(
@@ -345,19 +344,13 @@ def _match_arrangement(basis: tuple, words: tuple) -> tuple:
     used = set()
     out = []
     for label in basis:
-        hit = None
         for i, w in enumerate(words):
-            if i in used:
-                continue
-            if label == w:
-                hit = i + 1
+            if i not in used and label in (w, inverse(w)):
                 break
-            if label == inverse(w):
-                hit = -(i + 1)
-                break
-        assert hit is not None, "wedge basis does not match the input tuple"
-        used.add(abs(hit) - 1)
-        out.append(hit)
+        else:
+            raise RuntimeError("wedge basis does not match the input tuple")
+        used.add(i)
+        out.append(i + 1 if label == w else -(i + 1))
     return tuple(out)
 
 
@@ -390,10 +383,7 @@ def reduce_tuple(tpl, p: Presentation, params: ClassParams) -> ReductionVerdict:
             raise ValueError("trivial word in tuple")
         p.alphabet.check_word(w)
 
-    powers = tuple(
-        PowerStatus(i, is_proper_power(r), *power_decomposition(r))
-        for i, r in enumerate(p.relators)
-    )
+    powers = power_statuses(p.relators)
     if any(ps.is_power for ps in powers):
         return ReductionVerdict(NOT_IN_CLASS, condition="C2", powers=powers)
     c1 = check_Cprime(p, params.lam)
@@ -417,7 +407,8 @@ def reduce_tuple(tpl, p: Presentation, params: ClassParams) -> ReductionVerdict:
         violation = rank_guard(g, m)
         if violation is not None:
             raise RuntimeError(f"saturated graph of low rank: {violation}")
-        assert g.rank() <= params.L
+        if g.rank() > params.L:
+            raise RuntimeError(f"graph rank {g.rank()} exceeds L = {params.L}")
         if is_alphabet_bouquet(g, m):
             trace = NielsenTrace(
                 initial_tuple=words,
@@ -439,7 +430,8 @@ def reduce_tuple(tpl, p: Presentation, params: ClassParams) -> ReductionVerdict:
         outcome = _fire_or_witness(g, lrp, p, params)
         if isinstance(outcome, C3Witness):
             return ReductionVerdict(NOT_IN_CLASS, condition="C3", witness=outcome)
-        assert g.num_edges() < edges_before
+        if g.num_edges() >= edges_before:
+            raise RuntimeError("surgery did not shorten the graph")
         record([outcome])
 
 
@@ -458,6 +450,8 @@ def verify_trace(t: NielsenTrace, p: Presentation) -> bool:
     """
     _require_c16(p)  # here too: a trace with no steps never reaches Dehn
     m = p.alphabet.m
+    if 0 in t.initial_arrangement:
+        return False  # 0 names no entry; [-0 - 1] would read the last one
     try:
         current = tuple(
             t.initial_tuple[k - 1] if k > 0 else inverse(t.initial_tuple[-k - 1])

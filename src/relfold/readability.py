@@ -32,6 +32,14 @@ budget and the rank bound prune exactly.  Failed states are memoised
 under a canonical relabeling, and an optional node budget turns the
 answer into ``Unknown`` instead of letting the search run long.
 
+Each search state is one generator frame.  It counts itself against the
+budget, prunes, and checks the memo; then it yields one child state per
+choice, adding that choice's edge before the yield and removing it when
+resumed, and memoises its key once every child has failed.  A short
+loop steps the top frame of an explicit stack: the search depth equals
+the word length, and the half-relator subwords of condition (3) run to
+thousands of letters, far past Python's recursion limit.
+
 ``oracle_is_readable`` is an independent brute-force check for short
 words: it enumerates every partition of the ``l + 1`` path vertices
 (restricted growth strings), folds each quotient to closure, and tests
@@ -42,6 +50,7 @@ reversal, which commute with quotients and folding.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
@@ -139,13 +148,6 @@ def witness_is_valid(query: ReadabilityQuery, graph: FGraph, path: Path) -> bool
     return True
 
 
-def _interval_witness(word: Word) -> tuple[FGraph, Path]:
-    """The trivial witness: a simple path of len(word) fresh edges."""
-    g = FGraph()
-    steps, _ = g.add_path(g.add_vertex(), None, word)
-    return g, Path(0, steps)
-
-
 class _BudgetExhausted(Exception):
     pass
 
@@ -160,7 +162,6 @@ def is_readable(query: ReadabilityQuery) -> ReadabilityAnswer:
     """
     word = query.word
     l = len(word)
-    num, den = query.mu.numerator, query.mu.denominator
     max_e = query.edge_budget
 
     if len({abs(x) for x in word}) > max_e:
@@ -169,8 +170,9 @@ def is_readable(query: ReadabilityQuery) -> ReadabilityAnswer:
     if query.mu == 1:
         # The bare interval graph is a witness: l edges, rank 0, and its
         # endpoints have degree 1.
-        g, p = _interval_witness(word)
-        return ReadabilityAnswer(READABLE, g, p)
+        g = FGraph()
+        path_steps, _ = g.add_path(g.add_vertex(), None, word)
+        return ReadabilityAnswer(READABLE, g, Path(0, path_steps))
 
     # Distinct generators still missing from the graph at each suffix.
     suffix_labels = [frozenset()] * (l + 1)
@@ -181,11 +183,14 @@ def is_readable(query: ReadabilityQuery) -> ReadabilityAnswer:
     # recorded edge to u.  Folded means each slot holds at most one edge.
     trans: dict[tuple[int, int], tuple[int, int, int]] = {}
     edges: list[tuple[int, int, int]] = []  # (origin, target, label)
-    labels_present: dict[int, int] = {}
+    label_count = [0] * (query.m + 1)  # edges carrying each generator
     steps: list[tuple[int, int]] = []
     signed = signed_letters(query.m)
+    failed: set[tuple] = set()
+    nodes = 0
+    found: Optional[tuple[FGraph, Path]] = None  # the witness, once met
 
-    def canon_key(j: int, cur: int, n_vertices: int) -> tuple:
+    def canon_key(j: int, cur: int) -> tuple:
         # Relabel vertices by a deterministic traversal from cur so that
         # states differing only in vertex numbering share a memo entry.
         order = {cur: 0}
@@ -197,129 +202,76 @@ def is_readable(query: ReadabilityQuery) -> ReadabilityAnswer:
                 if hit is not None and hit[0] not in order:
                     order[hit[0]] = len(order)
                     queue.append(hit[0])
-        body = tuple(sorted((order[o], order[t], lab) for o, t, lab in edges))
-        return j, body
+        return j, tuple(sorted((order[o], order[t], lab) for o, t, lab in edges))
 
-    failed: set[tuple] = set()
-    nodes = 0
-    budget = query.node_budget
+    def add_edge(cur: int, x: int, u: int) -> None:
+        eid, lab = len(edges), abs(x)
+        edges.append((cur, u, lab) if x > 0 else (u, cur, lab))
+        direction = 1 if x > 0 else -1
+        trans[(cur, x)] = (u, eid, direction)
+        trans[(u, -x)] = (cur, eid, -direction)
+        steps.append((eid, direction))
+        label_count[lab] += 1
 
-    def apply_new_edge(cur: int, x: int, u: int) -> None:
-        eid = len(edges)
-        lab = abs(x)
-        if x > 0:
-            edges.append((cur, u, lab))
-            trans[(cur, x)] = (u, eid, 1)
-            trans[(u, -x)] = (cur, eid, -1)
-            steps.append((eid, 1))
-        else:
-            edges.append((u, cur, lab))
-            trans[(cur, x)] = (u, eid, -1)
-            trans[(u, -x)] = (cur, eid, 1)
-            steps.append((eid, -1))
-        labels_present[lab] = labels_present.get(lab, 0) + 1
-
-    def undo_new_edge(cur: int, x: int, u: int) -> None:
+    def remove_edge(cur: int, x: int, u: int) -> None:
         edges.pop()
-        del trans[(cur, x)]
-        del trans[(u, -x)]
         steps.pop()
-        lab = abs(x)
-        labels_present[lab] -= 1
-        if not labels_present[lab]:
-            del labels_present[lab]
+        del trans[(cur, x)], trans[(u, -x)]
+        label_count[abs(x)] -= 1
 
-    # Stack frames: [j, cur, n_vertices, rank, choices, next_index].
-    # A choice is (kind, u): "follow" reuses the forced edge, "new" opens
-    # an edge to vertex u, "fresh" opens an edge to a new vertex.
-    root = [0, 0, 1, 0, None, 0]
-    stack = [root]
-    found: Optional[tuple[list, list, int]] = None
+    def state(j: int, cur: int, n_vertices: int, rank: int):
+        # One search state: having read word[:j], standing at vertex cur.
+        nonlocal nodes, found
+        nodes += 1
+        if query.node_budget is not None and nodes > query.node_budget:
+            raise _BudgetExhausted
+        e_now = len(edges)
+        if e_now + sum(not label_count[lab] for lab in suffix_labels[j]) > max_e:
+            return
+        if j == l:
+            # Every vertex lies on the path, so every vertex has a degree.
+            deg = Counter(v for o, t, _ in edges for v in (o, t))
+            if query.require_low_degree and min(deg.values()) >= 2 * query.m:
+                return
+            found = (FGraph.from_edges(edges), Path(0, tuple(steps)))
+            return
+        key = canon_key(j, cur)
+        if key in failed:
+            return
+        x = word[j]
+        hit = trans.get((cur, x))
+        if hit is not None:
+            # Folded: the existing edge is the only way to read x here.
+            u, eid, direction = hit
+            steps.append((eid, direction))
+            yield state(j + 1, u, n_vertices, rank)
+            steps.pop()
+        elif e_now < max_e:
+            if rank < query.rank_bound:
+                for u in range(n_vertices):
+                    if (u, -x) not in trans:
+                        add_edge(cur, x, u)
+                        yield state(j + 1, u, n_vertices, rank + 1)
+                        remove_edge(cur, x, u)
+            add_edge(cur, x, n_vertices)
+            yield state(j + 1, n_vertices, n_vertices + 1, rank)
+            remove_edge(cur, x, n_vertices)
+        failed.add(key)
 
+    stack = [state(0, 0, 1, 0)]
     try:
-        while stack:
-            frame = stack[-1]
-            j, cur, n_vertices, rank = frame[0], frame[1], frame[2], frame[3]
-            choices, idx = frame[4], frame[5]
-            if choices is None:
-                nodes += 1
-                if budget is not None and nodes > budget:
-                    raise _BudgetExhausted
-                e_now = len(edges)
-                missing = len(suffix_labels[j] - labels_present.keys())
-                if e_now + missing > max_e:
-                    choices = []
-                elif j == l:
-                    ok = True
-                    if query.require_low_degree:
-                        deg = [0] * n_vertices
-                        for o, t, _ in edges:
-                            deg[o] += 1
-                            deg[t] += 1
-                        ok = min(deg) < 2 * query.m
-                    if ok:
-                        found = (list(edges), list(steps), n_vertices)
-                        break
-                    choices = []
-                else:
-                    key = canon_key(j, cur, n_vertices)
-                    if key in failed:
-                        choices = []
-                    else:
-                        frame.append(key)
-                        x = word[j]
-                        hit = trans.get((cur, x))
-                        if hit is not None:
-                            choices = [("follow", hit[0])]
-                        else:
-                            choices = []
-                            if e_now < max_e:
-                                if rank < query.rank_bound:
-                                    choices.extend(
-                                        ("new", u)
-                                        for u in range(n_vertices)
-                                        if (u, -x) not in trans
-                                    )
-                                choices.append(("fresh", n_vertices))
-                frame[4] = choices
-            if idx < len(choices):
-                frame[5] = idx + 1
-                kind, u = choices[idx]
-                x = word[j]
-                if kind == "follow":
-                    _, eid, direction = trans[(cur, x)]
-                    steps.append((eid, direction))
-                    stack.append([j + 1, u, n_vertices, rank, None, 0])
-                elif kind == "new":
-                    apply_new_edge(cur, x, u)
-                    stack.append([j + 1, u, n_vertices, rank + 1, None, 0])
-                else:
-                    apply_new_edge(cur, x, u)
-                    stack.append([j + 1, u, n_vertices + 1, rank, None, 0])
-            else:
-                if len(frame) > 6:
-                    failed.add(frame[6])
+        while stack and found is None:
+            child = next(stack[-1], None)
+            if child is None:
                 stack.pop()
-                if stack:
-                    parent = stack[-1]
-                    kind, u = parent[4][parent[5] - 1]
-                    if kind == "follow":
-                        steps.pop()
-                    else:
-                        undo_new_edge(parent[1], word[parent[0]], u)
+            else:
+                stack.append(child)
     except _BudgetExhausted:
         return ReadabilityAnswer(UNKNOWN, nodes_expanded=nodes)
 
     if found is None:
         return ReadabilityAnswer(NOT_READABLE, nodes_expanded=nodes)
-
-    found_edges, found_steps, n_vertices = found
-    g = FGraph()
-    for _ in range(n_vertices):
-        g.add_vertex()
-    for o, t, lab in found_edges:
-        g.add_edge(o, t, lab)
-    return ReadabilityAnswer(READABLE, g, Path(0, tuple(found_steps)), nodes)
+    return ReadabilityAnswer(READABLE, *found, nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -351,9 +351,11 @@ def find_long_relator_path(g: FGraph, p: Presentation,
     rotation = _rotation(base, offset)
     v_word, y_word = rotation[:len_v], rotation[len_v:]
     path = g.trace_word(v0, v_word)
-    assert path is not None and g.path_label(path) == v_word
+    if path is None or g.path_label(path) != v_word:
+        raise RuntimeError("the long relator path does not read back")
     L = len(r)
-    assert len_v * den > (den - 3 * num) * L
+    if len_v * den <= (den - 3 * num) * L:
+        raise RuntimeError("the long relator path is too short")
     return LongRelatorPath(path=path, relator_index=i, sign=sign,
                            offset=offset, v=v_word, y=y_word,
                            segments=_split_segments(g, path))

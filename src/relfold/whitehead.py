@@ -274,12 +274,11 @@ def same_orbit(u: Word, v: Word, m: int) -> Optional[OrbitCertificate]:
     target_word = target_inv if inverted else target_fwd
     moves = tuple(moves_u) + tuple(path)
     if x != target_word:
-        closing = None
-        for rho in relabel_moves(m):
-            if apply_move(x, rho) == target_word:
-                closing = rho
+        for closing in relabel_moves(m):
+            if apply_move(x, closing) == target_word:
                 break
-        assert closing is not None, "canonical forms matched but no relabel closes the gap"
+        else:
+            raise RuntimeError("canonical forms matched but no relabel closes the gap")
         moves = moves + (closing,)
 
     tail = tuple(invert_move(mv) for mv in reversed(moves_v))
@@ -289,7 +288,8 @@ def same_orbit(u: Word, v: Word, m: int) -> Optional[OrbitCertificate]:
         target=cyclic_word(v),
         inverted=inverted,
     )
-    assert verify_certificate(cert, m), "assembled certificate failed to replay"
+    if not verify_certificate(cert, m):
+        raise RuntimeError("assembled certificate failed to replay")
     return cert
 
 

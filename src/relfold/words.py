@@ -88,13 +88,15 @@ def concat(*ws: Sequence[int]) -> Word:
 def substitute(w: Sequence[int], images: Sequence[Sequence[int]]) -> Word:
     """Evaluate ``w`` under letter k -> images[k-1], freely reduced.
 
-    Negative letters map to the inverse image.
+    Negative letters map to the inverse image; 0 raises ``ValueError``.
 
     >>> substitute((1, -2), ((1, 2), (3,)))
     (1, 2, -3)
     """
     out: list[int] = []
     for k in w:
+        if k == 0:
+            raise ValueError("basis symbol 0 names no image")
         img = images[k - 1] if k > 0 else inverse(images[-k - 1])
         for x in img:
             if out and out[-1] == -x:
@@ -348,7 +350,8 @@ def random_cyclically_reduced(m: int, t: int, rng: random.Random) -> Word:
             x -= row[z]
         word.append(z)
     w = tuple(word)
-    assert is_cyclically_reduced(w)
+    if not is_cyclically_reduced(w):
+        raise RuntimeError("sampled word is not cyclically reduced")
     return w
 
 

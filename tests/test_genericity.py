@@ -23,7 +23,8 @@ from relfold.genericity import (
     sample_table_jsonable,
     validate_params,
 )
-from relfold.smallcancel import Presentation
+from relfold import genericity
+from relfold.smallcancel import CprimeResult, Presentation
 from relfold.words import Alphabet, parse_word, random_cyclically_reduced
 
 A2 = Alphabet(2)
@@ -305,3 +306,45 @@ class TestDecayRate:
             SampleRow(8, 10, 10, 10, 10, 10, 0, Fraction(1)),
         ]
         assert _fit_decay_rate(rows) is None
+
+
+class TestSweepCounts:
+    """The C3 sweep of one 12-letter relator at mu = 1/3, L = 2.
+
+    Unbudgeted, all 84 half-subwords are checked (168 queries, 3542
+    nodes).  A short relator never passes a C1 bound this small, so C1 is
+    stubbed to pass and the sweep runs.
+    """
+
+    @pytest.fixture
+    def report(self, monkeypatch):
+        monkeypatch.setattr(genericity, "check_Cprime", lambda p, lam: CprimeResult(True))
+        mu = Fraction(1, 3)
+        params = ClassParams(mu / (30 + 3 * mu), mu, 2)
+        p = Presentation(A2, (parse_word("BABaBabbaaba"),))
+        return lambda budget: check_membership(p, params, budget)
+
+    @pytest.mark.parametrize(
+        "budget,checked,unknown,complete",
+        [
+            (None, 84, 0, True),
+            (3542, 84, 0, True),  # exactly enough: the last query spends it
+            (3541, 83, 1, False),  # the last query runs out
+            (21, 1, 0, False),  # spent between two subwords
+            (20, 0, 1, False),  # the first subword's second query runs out
+            (100, 4, 1, False),
+        ],
+    )
+    def test_counts(self, report, budget, checked, unknown, complete):
+        rep = report(budget)
+        assert (rep.c3.checked_subwords, rep.c3.unknown_checks, rep.c3.complete) == (
+            checked, unknown, complete)
+        assert rep.c3.violation is None
+        assert rep.verdict == (IN_CLASS if complete else UNDETERMINED)
+
+    def test_violation_counts_its_subword(self, monkeypatch):
+        monkeypatch.setattr(genericity, "check_Cprime", lambda p, lam: CprimeResult(True))
+        p = Presentation(A2, (parse_word("aabbabABBaBB"),))
+        rep = check_membership(p, default_params(2), 25)
+        assert rep.c3 == C3Status((0, (1, 1, 2, 2, 1, 2), "muL"), 1, 0, True)
+        assert (rep.verdict, rep.failed_condition) == (NOT_IN_CLASS, "C3")

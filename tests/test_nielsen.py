@@ -408,6 +408,27 @@ class TestVerifyTrace:
         steps[0] = (bad, snap)
         assert not verify_trace(dataclasses.replace(v.trace, steps=tuple(steps)), p)
 
+    def test_basis_symbol_zero_rejected(self):
+        # Symbol 0 once read as the inverse of the last basis word, so
+        # (1, 0) passed for the true witness (1, -2) here.
+        p = fixture_presentation()
+        v = reduce_tuple((parse_word("ab"), parse_word("b")), p, PARAMS)
+        steps = list(v.trace.steps)
+        rec, snap = steps[0]
+        assert rec.kind == "Fold" and rec.post_in_pre[0] == (1, -2)
+        bad = dataclasses.replace(rec, post_in_pre=((1, 0),) + rec.post_in_pre[1:])
+        steps[0] = (bad, snap)
+        assert verify_trace(v.trace, p)
+        assert not verify_trace(dataclasses.replace(v.trace, steps=tuple(steps)), p)
+
+    def test_arrangement_symbol_zero_rejected(self):
+        p = fixture_presentation()
+        v = reduce_tuple((parse_word("ab"), parse_word("B")), p, PARAMS)
+        assert v.trace.initial_arrangement == (1, -2)
+        assert verify_trace(v.trace, p)
+        zero = dataclasses.replace(v.trace, initial_arrangement=(1, 0))
+        assert not verify_trace(zero, p)
+
     def test_corrupted_snapshot_rejected(self):
         p = fixture_presentation()
         r = p.relators[0]

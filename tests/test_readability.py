@@ -291,3 +291,45 @@ class TestOracle:
         long_word = tuple([1, 2] * 6)
         with pytest.raises(ValueError):
             oracle_is_readable(q(long_word, "1/2", 1))
+
+
+# (word, m, mu, rank bound, free-slot flag, node budget) -> (verdict, nodes).
+# The membership sweep spends one shared budget by ``nodes_expanded``, so
+# the search must keep visiting exactly these many states.
+PINNED_SEARCHES = [
+    ("abAB", 2, "1/2", 1, False, None, NOT_READABLE, 8),
+    ("abAB", 2, "1/2", 1, True, None, NOT_READABLE, 8),
+    ("aabb", 2, "1/2", 2, False, None, READABLE, 5),
+    ("aabb", 2, "1/2", 2, True, None, NOT_READABLE, 9),
+    ("abab", 2, "1/2", 1, True, None, READABLE, 7),
+    ("abaBAbaB", 2, "1/2", 1, False, None, NOT_READABLE, 26),
+    ("abaBAbaB", 2, "1/2", 1, False, 26, NOT_READABLE, 26),
+    ("abaBAbaB", 2, "1/2", 1, False, 25, UNKNOWN, 26),
+    ("abaBAbaB", 2, "1/2", 2, True, None, READABLE, 16),
+    ("abcABCacb", 3, "2/3", 2, False, None, READABLE, 38),
+    ("abcABCacb", 3, "2/3", 2, False, 20, UNKNOWN, 21),
+    ("aabbaBBAbbaa", 2, "1/2", 1, False, None, NOT_READABLE, 60),
+    ("aabbaBBAbbaa", 2, "1/2", 1, False, 30, UNKNOWN, 31),
+    ("aabbaBBAbbaa", 2, "1/2", 2, True, 500, READABLE, 23),
+    ("abbaBAAbaBBabbAB", 2, "1/3", 1, True, 100, NOT_READABLE, 40),
+]
+
+
+class TestPinnedSearch:
+    @pytest.mark.parametrize("word,m,mu,rb,flag,budget,verdict,nodes", PINNED_SEARCHES)
+    def test_verdict_and_node_count(self, word, m, mu, rb, flag, budget, verdict, nodes):
+        query = q(word, mu, rb, m=m, require_low_degree=flag, node_budget=budget)
+        ans = is_readable(query)
+        assert (ans.verdict, ans.nodes_expanded) == (verdict, nodes)
+        if verdict == READABLE:
+            assert witness_is_valid(query, ans.graph, ans.path)
+        else:
+            assert ans.graph is None and ans.path is None
+
+    def test_long_word_does_not_recurse(self):
+        # One straight descent of depth 3000, far past the interpreter's
+        # recursion limit, ending on a two-edge witness.
+        query = q(tuple([1, 2, 1, -2] * 750), "1/2", 2, node_budget=5000)
+        ans = is_readable(query)
+        assert (ans.verdict, ans.nodes_expanded) == (READABLE, 3001)
+        assert witness_is_valid(query, ans.graph, ans.path)

@@ -1,6 +1,11 @@
 """Tests for Whitehead moves, orbit minimization, and orbit certificates."""
 
+import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from collections import deque
 
 import pytest
@@ -320,3 +325,37 @@ class TestMoveSerialization:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             move_from_jsonable({"kind": "mystery"})
+
+
+# same_orbit with the certificate replay forced to fail must raise, not hand
+# back a certificate it never replayed.  Prints [__debug__, error or None].
+REPLAY_PROBE = """
+import json
+from relfold import whitehead
+
+whitehead.verify_certificate = lambda cert, m: False
+try:
+    whitehead.same_orbit((1,), (2,), 2)
+    error = None
+except RuntimeError as exc:
+    error = str(exc)
+print(json.dumps([__debug__, error]))
+"""
+
+
+class TestSameOrbitReplayCheck:
+    def test_failed_replay_raises(self, monkeypatch):
+        monkeypatch.setattr("relfold.whitehead.verify_certificate", lambda cert, m: False)
+        with pytest.raises(RuntimeError, match="replay"):
+            same_orbit((1,), (2,), 2)
+
+    def test_check_survives_optimize_flag(self):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", REPLAY_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        debug, error = json.loads(proc.stdout)
+        assert debug is False  # asserts really are stripped in the child
+        assert error is not None and "replay" in error

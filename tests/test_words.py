@@ -73,6 +73,10 @@ class TestReduction:
                              for _ in range(rng.randrange(10))])
             assert substitute(w, ident) == w
 
+    def test_substitute_rejects_symbol_zero(self):
+        with pytest.raises(ValueError):
+            substitute((1, 0), ((1, 2), (2,)))
+
     def test_substitute_is_homomorphism(self):
         rng = random.Random(103)
         images = ((1, 2), (-1,), (2, 2, 1))
