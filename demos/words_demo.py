@@ -8,12 +8,14 @@ uniform.
 
 import random
 from collections import Counter
+from itertools import product
 
 from relfold.words import (
     count_cyclically_reduced,
-    enumerate_reduced,
     format_word,
+    is_cyclically_reduced,
     random_cyclically_reduced,
+    signed_letters,
 )
 
 
@@ -24,7 +26,8 @@ def main():
 
     print("\nCross-check against enumeration (lengths 1..6):")
     for t in range(1, 7):
-        brute = sum(1 for w in enumerate_reduced(2, t) if w[0] != -w[-1])
+        brute = sum(1 for w in product(signed_letters(2), repeat=t)
+                    if is_cyclically_reduced(w))
         counted = count_cyclically_reduced(2, t)
         marker = "ok" if brute == counted else "MISMATCH"
         print(f"  length {t}: enumerated {brute}, counted {counted}  [{marker}]")

@@ -690,9 +690,6 @@ class Arc:
     steps: tuple  # (edge, dir) steps from one endpoint to the other
     closed: bool
 
-    def edge_set(self) -> frozenset:
-        return frozenset(e for e, _ in self.steps)
-
 
 def maximal_arcs(g: FGraph) -> list[Arc]:
     """Partition the edges into maximal arcs.

@@ -147,11 +147,15 @@ def verify_witness(w: C3Witness, p: Presentation, params: ClassParams) -> bool:
     of a readability witness (edge budget mu * |subword|, rank at most L,
     connected, folded, some vertex of degree below 2m), and the subword
     must be more than half of its relator, completed to a rotation by the
-    stored complement.
+    stored complement.  A malformed witness (an index or offset that is
+    not an int in range, a sign other than +-1, an edge the graph
+    rejects) verifies ``False``.
     """
-    if w.relator_index < 0 or w.relator_index >= len(p.relators):
+    if type(w.relator_index) is not int or not 0 <= w.relator_index < len(p.relators):
         return False
     r = p.relators[w.relator_index]
+    if w.sign not in (1, -1) or type(w.offset) is not int or not 0 <= w.offset < len(r):
+        return False
     base = r if w.sign == 1 else inverse(r)
     rotation = base[w.offset:] + base[:w.offset]
     if tuple(w.subword) + tuple(w.complement) != rotation:
@@ -166,9 +170,10 @@ def verify_witness(w: C3Witness, p: Presentation, params: ClassParams) -> bool:
             rank_bound=params.L,
             require_low_degree=True,
         )
-    except ValueError:
+        graph = witness_graph(w)
+    except (TypeError, ValueError):
         return False
-    return witness_is_valid(query, witness_graph(w), w.path)
+    return witness_is_valid(query, graph, w.path)
 
 
 def _build_witness(g: FGraph, lrp, p: Presentation, params: ClassParams) -> C3Witness:

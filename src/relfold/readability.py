@@ -39,13 +39,6 @@ resumed, and memoises its key once every child has failed.  A short
 loop steps the top frame of an explicit stack: the search depth equals
 the word length, and the half-relator subwords of condition (3) run to
 thousands of letters, far past Python's recursion limit.
-
-``oracle_is_readable`` is an independent brute-force check for short
-words: it enumerates every partition of the ``l + 1`` path vertices
-(restricted growth strings), folds each quotient to closure, and tests
-the resulting graph against the same constraints.  Results are cached
-per equivalence class under relabeling/inverting generators and word
-reversal, which commute with quotients and folding.
 """
 
 from __future__ import annotations
@@ -53,11 +46,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
 from typing import Optional
 
 from .fgraph import FGraph, Path
-from .words import Word, inverse, is_reduced, signed_letters, word_key
+from .words import Word, is_reduced, signed_letters
 
 READABLE = "Readable"
 NOT_READABLE = "NotReadable"
@@ -272,145 +264,3 @@ def is_readable(query: ReadabilityQuery) -> ReadabilityAnswer:
     if found is None:
         return ReadabilityAnswer(NOT_READABLE, nodes_expanded=nodes)
     return ReadabilityAnswer(READABLE, *found, nodes)
-
-
-# ---------------------------------------------------------------------------
-# Independent brute-force oracle for short words.
-# ---------------------------------------------------------------------------
-
-_ORACLE_MAX_LEN = 11
-
-# canonical word -> sorted tuple of (edge count, rank, min degree) over all
-# folded quotients of the word's interval graph (dominated triples dropped).
-_ORACLE_CACHE: dict[Word, tuple[tuple[int, int, int], ...]] = {}
-
-
-def _canonical_class(word: Word, m: int) -> Word:
-    """Least image of ``word`` under generator relabeling/inversion and
-    word inversion — symmetries that readability profiles cannot see."""
-    if m > 4:
-        return word
-    best = word
-    best_key = word_key(word)
-    for perm in permutations(range(1, m + 1)):
-        for signs in product((1, -1), repeat=m):
-            img = tuple(
-                (1 if x > 0 else -1) * signs[abs(x) - 1] * perm[abs(x) - 1]
-                for x in word
-            )
-            for cand in (img, inverse(img)):
-                k = word_key(cand)
-                if k < best_key:
-                    best, best_key = cand, k
-    return best
-
-
-def _partitions(n: int):
-    """Yield every restricted growth string of length ``n`` (shared buffer)."""
-    a = [0] * n
-
-    def rec(i: int, mx: int):
-        if i == n:
-            yield a
-            return
-        for v in range(mx + 2):
-            a[i] = v
-            yield from rec(i + 1, max(mx, v))
-
-    yield from rec(1, 0)
-
-
-def _quotient_stats(blocks, n_blocks, word_edges) -> tuple[int, int, int]:
-    """Fold the quotient given by ``blocks`` to closure; return
-    (edge count, rank, min degree) of the folded graph."""
-    parent = list(range(n_blocks))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    changed = True
-    while changed:
-        changed = False
-        outmap: dict[tuple[int, int], int] = {}
-        inmap: dict[tuple[int, int], int] = {}
-        for o, t, lab in word_edges:
-            ro, rt = find(blocks[o]), find(blocks[t])
-            prev = outmap.get((ro, lab))
-            if prev is None:
-                outmap[(ro, lab)] = rt
-            else:
-                prev = find(prev)
-                rt2 = find(rt)
-                if prev != rt2:
-                    parent[prev] = rt2
-                    changed = True
-            prev = inmap.get((rt, lab))
-            if prev is None:
-                inmap[(rt, lab)] = ro
-            else:
-                prev = find(prev)
-                ro2 = find(ro)
-                if prev != ro2:
-                    parent[prev] = ro2
-                    changed = True
-
-    folded = {(find(blocks[o]), find(blocks[t]), lab) for o, t, lab in word_edges}
-    verts = {find(b) for b in blocks}
-    e, v = len(folded), len(verts)
-    deg = dict.fromkeys(verts, 0)
-    for o, t, _ in folded:
-        deg[o] += 1
-        deg[t] += 1
-    return e, e - v + 1, min(deg.values())
-
-
-def _oracle_profile(word: Word) -> tuple[tuple[int, int, int], ...]:
-    """All (edge count, rank, min degree) triples achievable by folded
-    quotients of the word's interval graph, minimal ones only."""
-    n = len(word) + 1
-    word_edges = tuple(
-        (i, i + 1, x) if x > 0 else (i + 1, i, -x) for i, x in enumerate(word)
-    )
-    triples = set()
-    for blocks in _partitions(n):
-        triples.add(_quotient_stats(blocks, max(blocks) + 1, word_edges))
-    minimal = tuple(
-        sorted(
-            t
-            for t in triples
-            if not any(
-                s != t and s[0] <= t[0] and s[1] <= t[1] and s[2] <= t[2]
-                for s in triples
-            )
-        )
-    )
-    return minimal
-
-
-def oracle_is_readable(query: ReadabilityQuery) -> bool:
-    """Brute-force readability verdict for words of length at most 11.
-
-    Enumerates all vertex partitions of the interval graph, folds each
-    quotient to closure, and checks the constraints on the results.  The
-    per-word profile is cached under the symmetry class of the word.
-    """
-    word = query.word
-    l = len(word)
-    if l > _ORACLE_MAX_LEN:
-        raise ValueError(
-            f"oracle supports words of length at most {_ORACLE_MAX_LEN}, got {l}"
-        )
-    canon = _canonical_class(word, query.m)
-    profile = _ORACLE_CACHE.get(canon)
-    if profile is None:
-        profile = _oracle_profile(canon)
-        _ORACLE_CACHE[canon] = profile
-    max_e = query.edge_budget
-    for e, rank, mindeg in profile:
-        if e <= max_e and rank <= query.rank_bound:
-            if not query.require_low_degree or mindeg < 2 * query.m:
-                return True
-    return False

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .fgraph import FGraph, Path, arc_owner
+from .fgraph import FGraph, Path
 from .words import (
     Alphabet,
     Word,
@@ -289,9 +289,8 @@ def is_equal_in_G(u, v, p: Presentation) -> bool:
 class LongRelatorPath:
     """A readable subword v of a symmetrized element with v*y the rotation.
 
-    ``path`` spells v in the graph; ``segments`` decomposes it into
-    (arc id, start, stop) runs split at junction vertices; the strict
-    bound |v| > (1 - 3 lambda)|r| holds exactly.
+    ``path`` spells v in the graph; the strict bound
+    |v| > (1 - 3 lambda)|r| holds exactly.
     """
 
     path: Path
@@ -300,7 +299,6 @@ class LongRelatorPath:
     offset: int
     v: Word
     y: Word
-    segments: tuple
 
 
 def find_long_relator_path(g: FGraph, p: Presentation,
@@ -357,22 +355,4 @@ def find_long_relator_path(g: FGraph, p: Presentation,
     if len_v * den <= (den - 3 * num) * L:
         raise RuntimeError("the long relator path is too short")
     return LongRelatorPath(path=path, relator_index=i, sign=sign,
-                           offset=offset, v=v_word, y=y_word,
-                           segments=_split_segments(g, path))
-
-
-def _split_segments(g: FGraph, path: Path) -> tuple:
-    """(arc id, start, stop) runs of the path, split at junction vertices."""
-    if not path.steps:
-        return ()
-    owner = arc_owner(g)
-    bounds = [0]
-    cur = path.start
-    for idx, (e, d) in enumerate(path.steps):
-        cur = g.step_ends(e, d)[1]
-        if idx + 1 < len(path.steps):
-            if g.degree(cur) != 2 or owner[e] != owner[path.steps[idx + 1][0]]:
-                bounds.append(idx + 1)
-    bounds.append(len(path.steps))
-    return tuple((owner[path.steps[a][0]], a, b)
-                 for a, b in zip(bounds, bounds[1:]) if b > a)
+                           offset=offset, v=v_word, y=y_word)

@@ -130,9 +130,25 @@ def apply_move(w: Word, mv) -> Word:
     return cyclic_word(substitute(w, _image_table(mv, m)))
 
 
+# The relabel group has 2^m * m! elements and there are 2m * 4^(m-1)
+# multiplier moves.  At rank 6 that is 46,080 and 12,288 moves, built in
+# under a second; rank 7 needs 645,120 relabels (about 130 MB), and every
+# canonical form applies all of them.  Larger ranks are refused before
+# anything is built.
+MAX_MOVE_RANK = 6
+
+
+def _check_move_rank(m: int) -> None:
+    if m > MAX_MOVE_RANK:
+        raise ValueError(
+            f"Whitehead moves are enumerated up to rank {MAX_MOVE_RANK}, got {m}"
+        )
+
+
 @lru_cache(maxsize=8)
 def relabel_moves(m: int) -> tuple[Relabel, ...]:
     """The full relabel group: all 2^m * m! signed permutations."""
+    _check_move_rank(m)
     return tuple(
         Relabel(tuple(s * p for s, p in zip(signs, perm)))
         for perm in permutations(range(1, m + 1))
@@ -144,6 +160,7 @@ def relabel_moves(m: int) -> tuple[Relabel, ...]:
 def multiplier_moves(m: int) -> tuple[Multiplier, ...]:
     """All multiplier moves, in a fixed enumeration: multiplier letters
     by alphabet order, cut sets by a two-bits-per-generator mask."""
+    _check_move_rank(m)
     moves = []
     for a in signed_letters(m):
         others = [g for g in range(1, m + 1) if g != abs(a)]

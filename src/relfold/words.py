@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 Word = tuple  # tuple of nonzero ints; +i = generator i, -i = its inverse
 
@@ -364,28 +364,3 @@ def random_cyclically_reduced_up_to(m: int, t: int, rng: random.Random) -> Word:
             return random_cyclically_reduced(m, k, rng)
         x -= c
     raise AssertionError("unreachable")
-
-
-def enumerate_reduced(m: int, t: int) -> Iterator[Word]:
-    """All freely reduced words of length exactly t (test oracle)."""
-    letters = signed_letters(m)
-
-    def rec(prefix: list[int]):
-        if len(prefix) == t:
-            yield tuple(prefix)
-            return
-        for x in letters:
-            if prefix and prefix[-1] == -x:
-                continue
-            prefix.append(x)
-            yield from rec(prefix)
-            prefix.pop()
-
-    yield from rec([])
-
-
-def enumerate_cyclically_reduced(m: int, t: int) -> Iterator[Word]:
-    """All cyclically reduced words of length exactly t (test oracle)."""
-    for w in enumerate_reduced(m, t):
-        if t < 2 or w[0] != -w[-1]:
-            yield w

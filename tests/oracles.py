@@ -1,0 +1,150 @@
+"""Independent brute-force oracles for the tests: word enumeration and
+readability of short words.
+
+``oracle_is_readable`` does not search partial walks the way
+:func:`relfold.readability.is_readable` does.  A path spelling the word
+``w`` maps the interval graph of ``w`` (vertices ``0..l``, edge ``i``
+reading ``w[i]``) onto its image, and restricting a witness to that image
+loses nothing, so the candidate witnesses are the quotients of the
+interval graph by a partition of its vertices, folded to closure.
+Stallings folding is confluent, so the closure of a partition is well
+defined: the finest fold-closed partition coarser than it.  The oracle
+therefore lists every fold-closed partition and checks the query's
+constraints on each quotient.
+
+The list starts from the discrete partition (the interval graph of a
+reduced word is already folded).  It repeatedly merges two blocks of a
+partition already reached and folds the result to closure with
+union-find.  This reaches every fold-closed partition ``Q``: for a
+reached ``P`` finer than ``Q``, merging two ``P``-blocks that lie in one
+``Q``-block gives a partition finer than ``Q``, so its closure is still
+finer than ``Q`` (``Q`` is fold-closed), and it is strictly coarser than
+``P``; finitely many such steps end at ``Q``.  Since the closure of any
+partition is fold-closed, no partition of the path vertices folds to a
+graph outside the list.
+
+Profiles are cached per equivalence class under relabeling/inverting
+generators and word reversal, which commute with quotients and folding.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from itertools import combinations, permutations, product
+from typing import Iterator
+
+from relfold.readability import ReadabilityQuery
+from relfold.words import Word, inverse, signed_letters, word_key
+
+_ORACLE_MAX_LEN = 11
+
+# canonical word -> sorted tuple of (edge count, rank, min degree) over all
+# folded quotients of the word's interval graph (dominated triples dropped).
+_ORACLE_CACHE: dict[Word, tuple[tuple[int, int, int], ...]] = {}
+
+
+def enumerate_reduced(m: int, t: int) -> Iterator[Word]:
+    """All freely reduced words of length exactly t (test oracle)."""
+    letters = signed_letters(m)
+
+    def rec(prefix: list[int]):
+        if len(prefix) == t:
+            yield tuple(prefix)
+            return
+        for x in letters:
+            if prefix and prefix[-1] == -x:
+                continue
+            prefix.append(x)
+            yield from rec(prefix)
+            prefix.pop()
+
+    yield from rec([])
+
+
+def enumerate_cyclically_reduced(m: int, t: int) -> Iterator[Word]:
+    """All cyclically reduced words of length exactly t (test oracle)."""
+    for w in enumerate_reduced(m, t):
+        if t < 2 or w[0] != -w[-1]:
+            yield w
+
+
+def _canonical_class(word: Word, m: int) -> Word:
+    """Least image of ``word`` under generator relabeling/inversion and
+    word inversion — symmetries that readability profiles cannot see."""
+    if m > 4:
+        return word
+    best = word
+    best_key = word_key(word)
+    for perm in permutations(range(1, m + 1)):
+        for signs in product((1, -1), repeat=m):
+            img = tuple(
+                (1 if x > 0 else -1) * signs[abs(x) - 1] * perm[abs(x) - 1]
+                for x in word
+            )
+            for cand in (img, inverse(img)):
+                k = word_key(cand)
+                if k < best_key:
+                    best, best_key = cand, k
+    return best
+
+
+def _fold_closure(blocks, word_edges) -> tuple[int, ...]:
+    """Coarsen the partition ``blocks`` until its quotient is folded, by
+    union-find; return it with blocks renumbered by first appearance."""
+    parent = list(range(len(blocks)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    changed = True
+    while changed:  # a pass with no merge saw fixed roots: folded
+        changed, slots = False, {}
+        for o, t, lab in word_edges:
+            ro, rt = find(blocks[o]), find(blocks[t])
+            for slot, far in (((ro, lab), rt), ((rt, -lab), ro)):
+                x, y = find(slots.setdefault(slot, far)), find(far)
+                if x != y:
+                    parent[x], changed = y, True
+    ids: dict[int, int] = {}
+    return tuple(ids.setdefault(find(b), len(ids)) for b in blocks)
+
+
+def _oracle_profile(word: Word) -> tuple[tuple[int, int, int], ...]:
+    """Minimal (edge count, rank, min degree) triples over every
+    fold-closed quotient of the word's interval graph."""
+    word_edges = [(i, i + 1, x) if x > 0 else (i + 1, i, -x) for i, x in enumerate(word)]
+    todo, triples = [tuple(range(len(word) + 1))], set()
+    seen = set(todo)
+    for blocks in todo:  # grows while it is read
+        edges = {(blocks[o], blocks[t], lab) for o, t, lab in word_edges}
+        deg = Counter(v for o, t, _ in edges for v in (o, t))
+        triples.add((len(edges), len(edges) - len(deg) + 1, min(deg.values())))
+        for a, b in combinations(range(len(deg)), 2):
+            closed = _fold_closure([a if x == b else x for x in blocks], word_edges)
+            if closed not in seen:
+                seen.add(closed)
+                todo.append(closed)
+    return tuple(sorted(t for t in triples if not any(
+        s != t and all(x <= y for x, y in zip(s, t)) for s in triples)))
+
+
+def oracle_is_readable(query: ReadabilityQuery) -> bool:
+    """Brute-force readability verdict for words of length at most 11.
+
+    Lists every fold-closed quotient of the interval graph and checks the
+    constraints on the results.  The per-word profile is cached under the
+    symmetry class of the word.
+    """
+    l = len(query.word)
+    if l > _ORACLE_MAX_LEN:
+        raise ValueError(f"oracle supports words of length at most {_ORACLE_MAX_LEN}, got {l}")
+    canon = _canonical_class(query.word, query.m)
+    if canon not in _ORACLE_CACHE:
+        _ORACLE_CACHE[canon] = _oracle_profile(canon)
+    return any(
+        e <= query.edge_budget and rank <= query.rank_bound
+        and (not query.require_low_degree or mindeg < 2 * query.m)
+        for e, rank, mindeg in _ORACLE_CACHE[canon]
+    )

@@ -29,7 +29,7 @@ from relfold.nielsen import (
     verify_witness,
     witness_graph,
 )
-from relfold.readability import READABLE, ReadabilityQuery, is_readable, oracle_is_readable
+from relfold.readability import READABLE, ReadabilityQuery, is_readable
 from relfold.smallcancel import (
     Presentation,
     check_Cprime,
@@ -50,13 +50,13 @@ from relfold.words import (
     concat,
     count_cyclically_reduced,
     cyclic_word,
-    enumerate_reduced,
     free_reduce,
     inverse,
     is_proper_power,
     parse_word,
     random_cyclically_reduced,
 )
+from oracles import enumerate_reduced, oracle_is_readable
 
 A2 = Alphabet(2)
 SEED = 20250818

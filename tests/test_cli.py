@@ -180,6 +180,21 @@ class TestReduce:
         assert "arity" in capsys.readouterr().err
 
 
+def _random_slot(doc, rng):
+    """A random (container, key) slot anywhere below the document root."""
+    slots = []
+
+    def walk(node):
+        keys = node if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            slots.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                walk(node[key])
+
+    walk(doc)
+    return rng.choice(slots)
+
+
 class TestVerify:
     def make_trace(self, tmp_path, smooth_relator):
         pres = write_presentation(tmp_path / "p.txt", 2, smooth_relator)
@@ -232,6 +247,32 @@ class TestVerify:
         assert run_cli(["verify", pres, str(trace)]) == EX_USAGE
         assert "not a trace document" in capsys.readouterr().err
 
+    def test_fuzzed_trace_never_crashes(self, tmp_path, capsys, smooth_relator):
+        pres, trace = self.make_trace(tmp_path, smooth_relator)
+        original = trace.read_text()
+        bad_values = [None, True, 1.5, "x", "1", "", [], {}, [0], 0, -1, 3, 10**6, -(10**6)]
+        rng = random.Random(5150)
+        for run in range(300):
+            doc = json.loads(original)
+            mutations = []
+            for _ in range(rng.randint(1, 3)):
+                parent, key = _random_slot(doc, rng)
+                if rng.random() < 0.25:
+                    del parent[key]
+                    mutations.append(("delete", key))
+                else:
+                    parent[key] = rng.choice(bad_values)
+                    mutations.append((key, parent[key]))
+            trace.write_text(json.dumps(doc))
+            capsys.readouterr()
+            try:
+                code = run_cli(["verify", pres, str(trace)])
+            except Exception as exc:  # a crash would print a traceback
+                pytest.fail(f"run {run} {mutations}: {exc!r}")
+            err = capsys.readouterr().err
+            assert code in (0, 1, EX_USAGE), (run, mutations, code)
+            assert "Traceback" not in err, (run, mutations)
+
     def test_loose_presentation_rejected(self, tmp_path, smooth_relator):
         _, trace = self.make_trace(tmp_path, smooth_relator)
         loose = write_presentation(tmp_path / "loose.txt", 2, "aabb")
@@ -262,6 +303,12 @@ class TestIso:
         p2 = write_presentation(tmp_path / "p2.txt", 2, "abab")
         assert run_cli(["iso", p1, p2]) == 2
         assert "Inapplicable" in capsys.readouterr().out
+
+    def test_huge_rank_exits_usage(self, tmp_path, capsys):
+        p1 = write_presentation(tmp_path / "p1.txt", 30, "ab")
+        p2 = write_presentation(tmp_path / "p2.txt", 30, "ba")
+        assert run_cli(["iso", p1, p2, "--assume-in-class"]) == EX_USAGE
+        assert "rank" in capsys.readouterr().err
 
     def test_alphabet_mismatch_exits_usage(self, tmp_path):
         p1 = write_presentation(tmp_path / "p1.txt", 2, "aab")
@@ -355,6 +402,14 @@ class TestWordCommands:
 
     def test_bad_word_exits_usage(self):
         assert run_cli(["whitehead-min", "a$b"]) == EX_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["whitehead-min", "ab", "--m", "30"],
+        ["orbit", "ab", "ba", "--m", "30"],
+    ])
+    def test_move_tables_refused_at_huge_rank(self, capsys, argv):
+        assert run_cli(argv) == EX_USAGE
+        assert "rank" in capsys.readouterr().err
 
     def test_letter_outside_rank(self):
         assert run_cli(["readable", "abc", "--m", "2", "--mu", "1"]) == EX_USAGE

@@ -366,6 +366,24 @@ class TestWitness:
         wrong_relator = dataclasses.replace(w, relator_index=5)
         assert not verify_witness(wrong_relator, p, params)
 
+    def test_malformed_witness_rejected(self):
+        g, p, params = self.wound_cycle()
+        lrp = find_long_relator_path(g, p, params.lam)
+        w = nielsen._fire_or_witness(g, lrp, p, params)
+        n = len(p.relators[0])
+        # Offsets outside the relator would wrap around in the slice.
+        for offset in (n, n + 3, -n, -1, 1.5, "0"):
+            assert not verify_witness(dataclasses.replace(w, offset=offset), p, params)
+        assert not verify_witness(dataclasses.replace(w, relator_index="0"), p, params)
+        # Against the inverted relator only sign -1 may select the inverse.
+        p_inv = Presentation(A2, (inverse(p.relators[0]),))
+        assert verify_witness(dataclasses.replace(w, sign=-1), p_inv, params)
+        for sign in (0, -2, 2):
+            assert not verify_witness(dataclasses.replace(w, sign=sign), p_inv, params)
+        for label in (0, "1"):
+            edges = ((0, 1, label),) + w.edges[1:]
+            assert not verify_witness(dataclasses.replace(w, edges=edges), p, params)
+
     def test_no_eligible_window_on_wound_cycle(self):
         g, p, params = self.wound_cycle()
         lrp = find_long_relator_path(g, p, params.lam)

@@ -12,10 +12,10 @@ from relfold.readability import (
     UNKNOWN,
     ReadabilityQuery,
     is_readable,
-    oracle_is_readable,
     witness_is_valid,
 )
-from relfold.words import enumerate_reduced, inverse, parse_word
+from relfold.words import inverse, parse_word
+from oracles import enumerate_reduced, oracle_is_readable
 
 
 def q(word, mu, rank_bound, m=2, **kw):

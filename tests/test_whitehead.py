@@ -11,6 +11,7 @@ from collections import deque
 import pytest
 
 from relfold.whitehead import (
+    MAX_MOVE_RANK,
     Multiplier,
     OrbitCertificate,
     Relabel,
@@ -27,7 +28,8 @@ from relfold.whitehead import (
     same_orbit,
     verify_certificate,
 )
-from relfold.words import cyclic_word, enumerate_cyclically_reduced, inverse, parse_word
+from relfold.words import cyclic_word, inverse, parse_word
+from oracles import enumerate_cyclically_reduced
 
 
 def all_moves(m):
@@ -96,6 +98,13 @@ class TestMoveConstruction:
         assert len(multiplier_moves(2)) == 16
         assert len(relabel_moves(3)) == 48
         assert len(multiplier_moves(3)) == 6 * 16
+
+    @pytest.mark.parametrize("m", [MAX_MOVE_RANK + 1, 30])
+    def test_move_tables_refuse_large_rank(self, m):
+        with pytest.raises(ValueError):
+            relabel_moves(m)
+        with pytest.raises(ValueError):
+            multiplier_moves(m)
 
 
 class TestApplyMove:

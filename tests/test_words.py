@@ -15,8 +15,6 @@ from relfold.words import (
     cyclic_permutations,
     cyclic_reduce,
     cyclic_word,
-    enumerate_cyclically_reduced,
-    enumerate_reduced,
     format_word,
     free_reduce,
     inverse,
@@ -30,6 +28,7 @@ from relfold.words import (
     random_cyclically_reduced_up_to,
     substitute,
 )
+from oracles import enumerate_cyclically_reduced, enumerate_reduced
 
 
 def words_upto(m, t):
