@@ -23,6 +23,12 @@ questions about cyclic words (conjugacy classes):
   finite relabel group; again by peak reduction, two minimal words of
   the same orbit are always connected inside that level set.
 
+Both searches judge a move by the length of its image core (substitute,
+then reduce freely and cyclically), and rotate an image to its canonical
+form only when they keep it: the next word of a descent, or a new node
+of the level set.  Relabels permute signed letters, so a relabel image
+of a cyclically reduced word is built by mapping letters alone.
+
 Positive answers come with an :class:`OrbitCertificate` whose move
 sequence replays from source to target — certificates are re-verified
 before being returned.
@@ -36,8 +42,10 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Optional
 
+from . import words
 from .words import (
     Word,
+    cyclic_reduce,
     cyclic_word,
     format_word,
     inverse,
@@ -121,13 +129,19 @@ def _image_table(mv, m: int) -> tuple[Word, ...]:
     raise TypeError(f"not a Whitehead move: {mv!r}")
 
 
-def apply_move(w: Word, mv) -> Word:
-    """Image of the cyclic word ``w``: substitute letter images, then
-    reduce freely and cyclically and take the canonical rotation."""
+def _image_core(w: Word, mv) -> Word:
+    """Image of ``w`` under ``mv``, reduced freely and cyclically but not
+    rotated: the same cyclic word as :func:`apply_move` gives."""
     if not w:
         return ()
     m = max(abs(x) for x in w)
-    return cyclic_word(substitute(w, _image_table(mv, m)))
+    return cyclic_reduce(substitute(w, _image_table(mv, m)))[0]
+
+
+def apply_move(w: Word, mv) -> Word:
+    """Image of the cyclic word ``w``: substitute letter images, then
+    reduce freely and cyclically and take the canonical rotation."""
+    return words.canonical_rotation(_image_core(w, mv))
 
 
 # The relabel group has 2^m * m! elements and there are 2m * 4^(m-1)
@@ -176,16 +190,36 @@ def multiplier_moves(m: int) -> tuple[Multiplier, ...]:
     return tuple(moves)
 
 
+def _in_alphabet(letters, m: int) -> bool:
+    return all(0 < abs(x) <= m for x in letters)
+
+
+@lru_cache(maxsize=8)
+def _relabel_maps(m: int) -> tuple[dict[int, int], ...]:
+    """Each relabel of rank ``m`` as a map on signed letters."""
+    return tuple(
+        {s * k: s * img for k, img in enumerate(rho.images, start=1) for s in (1, -1)}
+        for rho in relabel_moves(m)
+    )
+
+
 def canonical_orbit_form(w: Word, m: int) -> Word:
-    """Least relabel image of the cyclic word ``w`` — a canonical
-    representative of its orbit under the relabel group."""
-    return min((apply_move(w, rho) for rho in relabel_moves(m)), key=word_key)
+    """Least relabel image of the cyclically reduced word ``w`` (any
+    rotation of it) — a canonical representative of its orbit under the
+    relabel group."""
+    if not _in_alphabet(w, m):
+        raise ValueError(f"word uses letters outside alphabet of rank {m}")
+    return min(
+        (words.canonical_rotation(tuple(map(sigma.__getitem__, w)))
+         for sigma in _relabel_maps(m)),
+        key=word_key,
+    )
 
 
 def _check_alphabet(w: Word, m: int) -> None:
     if not w:
         raise ValueError("word must be nontrivial")
-    if any(abs(x) > m for x in w):
+    if not _in_alphabet(w, m):
         raise ValueError(f"word uses letters outside alphabet of rank {m}")
 
 
@@ -204,17 +238,15 @@ def minimize(w: Word, m: int) -> tuple[Word, tuple]:
     _check_alphabet(w, m)
     current = cyclic_word(w)
     moves = []
-    shortened = True
-    while shortened:
-        shortened = False
+    while True:
         for mv in multiplier_moves(m):
-            img = apply_move(current, mv)
-            if len(img) < len(current):
-                moves.append(mv)
-                current = img
-                shortened = True
+            core = _image_core(current, mv)
+            if len(core) < len(current):
                 break
-    return current, tuple(moves)
+        else:
+            return current, tuple(moves)
+        moves.append(mv)
+        current = words.canonical_rotation(core)
 
 
 @dataclass(frozen=True)
@@ -231,8 +263,20 @@ class OrbitCertificate:
     inverted: bool
 
 
+def _fits_rank(mv, m: int) -> bool:
+    if isinstance(mv, Relabel):
+        return len(mv.images) == m
+    if isinstance(mv, Multiplier):
+        return _in_alphabet(mv.cut, m)
+    return False
+
+
 def verify_certificate(cert: OrbitCertificate, m: int) -> bool:
-    """Replay a certificate and compare against its target."""
+    """Replay a certificate and compare against its target.  False when
+    the source, the target or a move leaves the rank-``m`` alphabet."""
+    if not (_in_alphabet(cert.source, m) and _in_alphabet(cert.target, m)
+            and all(_fits_rank(mv, m) for mv in cert.moves)):
+        return False
     x = cyclic_word(cert.source)
     for mv in cert.moves:
         x = apply_move(x, mv)
@@ -265,11 +309,10 @@ def same_orbit(u: Word, v: Word, m: int) -> Optional[OrbitCertificate]:
 
     start_key = canonical_orbit_form(min_u, m)
     visited = {start_key}
-    queue = deque([(min_u, ())])
+    queue = deque([(min_u, (), start_key)])
     hit: Optional[tuple[Word, tuple, bool]] = None
     while queue:
-        x, path = queue.popleft()
-        key = canonical_orbit_form(x, m)
+        x, path, key = queue.popleft()
         if key == canon_fwd:
             hit = (x, path, False)
             break
@@ -277,13 +320,13 @@ def same_orbit(u: Word, v: Word, m: int) -> Optional[OrbitCertificate]:
             hit = (x, path, True)
             break
         for mv in multiplier_moves(m):
-            img = apply_move(x, mv)
-            if len(img) != len(x):
+            core = _image_core(x, mv)
+            if len(core) != len(x):
                 continue
-            ikey = canonical_orbit_form(img, m)
+            ikey = canonical_orbit_form(core, m)
             if ikey not in visited:
                 visited.add(ikey)
-                queue.append((img, path + (mv,)))
+                queue.append((words.canonical_rotation(core), path + (mv,), ikey))
     if hit is None:
         return None
 

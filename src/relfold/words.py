@@ -7,6 +7,7 @@ inverses, so ``"aBa"`` is a * b^-1 * a; the empty word prints as ``"1"``.
 
 A cyclic word is represented by the lexicographically least rotation of a
 cyclically reduced word, under the letter order a < A < b < B < c < ...
+The least rotation is found by Booth's algorithm in O(n) comparisons.
 
 Counting and sampling of cyclically reduced words use an exact
 transfer-matrix dynamic program over (first letter, last letter) pairs,
@@ -131,6 +132,36 @@ def is_cyclically_reduced(w: Sequence[int]) -> bool:
     return len(w) < 2 or w[0] != -w[-1]
 
 
+def least_rotation_offset(keys: Sequence) -> int:
+    """Offset of the least rotation of a nonempty sequence (Booth, 1980).
+
+    One pass over ``keys + keys`` with a failure function, as in
+    Knuth-Morris-Pratt, over the rotation that is least so far; O(n)
+    comparisons in all.  For a periodic sequence the offset is the first
+    of the equal least rotations.
+
+    >>> least_rotation_offset([2, 0, 0])
+    1
+    """
+    s = list(keys) * 2
+    fail = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        c = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != s[k + i + 1]:
+            if c < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c != s[k + i + 1]:  # here i == -1
+            if c < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
+
+
 def canonical_rotation(w: Sequence[int]) -> Word:
     """Least rotation of a cyclically reduced word under a < A < b < B < ...
 
@@ -142,14 +173,8 @@ def canonical_rotation(w: Sequence[int]) -> Word:
         raise ValueError("canonical_rotation needs a cyclically reduced word")
     if not w:
         return w
-    best = w
-    bestk = word_key(w)
-    for o in range(1, len(w)):
-        cand = w[o:] + w[:o]
-        k = word_key(cand)
-        if k < bestk:
-            best, bestk = cand, k
-    return best
+    k = least_rotation_offset(word_key(w))
+    return w[k:] + w[:k]
 
 
 def cyclic_word(w: Sequence[int]) -> Word:

@@ -1,5 +1,5 @@
-"""Independent brute-force oracles for the tests: word enumeration and
-readability of short words.
+"""Independent brute-force oracles for the tests: word enumeration, least
+rotation, and readability of short words.
 
 ``oracle_is_readable`` does not search partial walks the way
 :func:`relfold.readability.is_readable` does.  A path spelling the word
@@ -66,6 +66,16 @@ def enumerate_cyclically_reduced(m: int, t: int) -> Iterator[Word]:
     for w in enumerate_reduced(m, t):
         if t < 2 or w[0] != -w[-1]:
             yield w
+
+
+def oracle_least_rotation(w: Word) -> Word:
+    """Least rotation under a < A < b < B < ..., by building and comparing
+    every rotation: O(n^2), the reference for
+    :func:`relfold.words.canonical_rotation`."""
+    w = tuple(w)
+    if not w:
+        return w
+    return min((w[o:] + w[:o] for o in range(len(w))), key=word_key)
 
 
 def _canonical_class(word: Word, m: int) -> Word:

@@ -234,6 +234,17 @@ def test_criterion_4_whitehead_correctness():
     report(4, "whitehead correctness", t0, 300)
 
 
+def test_criterion_4_orbit_search_at_length_2000():
+    # Least rotation and the orbit search's per-move cost are linear in the
+    # word length; with the quadratic rotation this call took 48 s on a
+    # 2-core host.
+    r = random_cyclically_reduced(2, 2000, random.Random(SEED))
+    t0 = time.monotonic()
+    cert = same_orbit(r, r, 2)
+    assert cert is not None and verify_certificate(cert, 2)
+    report(4, "orbit search at |r| = 2000", t0, 5)
+
+
 def scrambled_tuple(rng, m, moves=10, conj=8):
     """A free basis: elementary Nielsen moves on (a_1..a_m), then conjugate."""
     tpl = [(i,) for i in range(1, m + 1)]

@@ -28,8 +28,16 @@ from relfold.whitehead import (
     same_orbit,
     verify_certificate,
 )
-from relfold.words import cyclic_word, inverse, parse_word
+from relfold.words import (
+    cyclic_word,
+    format_word,
+    inverse,
+    parse_word,
+    random_cyclically_reduced,
+)
 from oracles import enumerate_cyclically_reduced
+
+PINNED = pathlib.Path(__file__).with_name("whitehead_pinned.json")
 
 
 def all_moves(m):
@@ -182,6 +190,18 @@ class TestCanonicalOrbitForm:
         assert canonical_orbit_form((2,), 2) == (1,)
         assert canonical_orbit_form((-1,), 2) == (1,)
 
+    def test_rotation_does_not_matter(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            w = random_cyclic(rng, 3, 9)
+            k = rng.randrange(len(w))
+            assert canonical_orbit_form(w[k:] + w[:k], 3) == canonical_orbit_form(w, 3)
+
+    def test_rejects_foreign_letters(self):
+        for w in [(1, 3), (1, -3), (1, 0, 2)]:
+            with pytest.raises(ValueError):
+                canonical_orbit_form(w, 2)
+
 
 class TestMinimize:
     def test_fixed_examples(self):
@@ -302,6 +322,19 @@ class TestSameOrbit:
         bad = OrbitCertificate(cert.moves, cert.source, (1, 2), cert.inverted)
         assert not verify_certificate(bad, 2)
 
+    @pytest.mark.parametrize("cert", [
+        # A rank-3 relabel: fixes a and b, so it replays ab to ab.
+        OrbitCertificate((Relabel((1, 2, 3)),), (1, 2), (1, 2), False),
+        # Multiply by c and back: the replay ends where it began.
+        OrbitCertificate((Multiplier(3, {3, 1}), Multiplier(-3, {-3, 1})),
+                         (1, 2), (1, 2), False),
+        OrbitCertificate((), parse_word("abc"), parse_word("abc"), False),
+        # A relabel too short for the rank.
+        OrbitCertificate((Relabel((1,)),), (1, 2), (1, 2), False),
+    ])
+    def test_certificate_outside_rank_rejected(self, cert):
+        assert verify_certificate(cert, 2) is False
+
 
 class TestMoveSerialization:
     def test_move_round_trip(self):
@@ -368,3 +401,65 @@ class TestSameOrbitReplayCheck:
         debug, error = json.loads(proc.stdout)
         assert debug is False  # asserts really are stripped in the child
         assert error is not None and "replay" in error
+
+
+def pinned_pairs():
+    """The fixed pairs of :class:`TestPinnedSearch`.  At m = 2 and
+    |r| = 60: four words paired with their image under five random moves,
+    and four pairs of independent draws with equal minimal length, so the
+    level-set search runs to its end.  At m = 3: two moved and two
+    independent pairs of short words."""
+    pairs = []
+    for m, length, moved, count in ((2, 60, True, 4), (2, 60, False, 4),
+                                    (3, 10, True, 2), (3, 12, False, 2)):
+        for i in range(count):
+            rng = random.Random(f"pinned/{m}/{moved}/{i}")
+            u = cyclic_word(random_cyclically_reduced(m, length, rng))
+            if moved:
+                v = u
+                for _ in range(5):
+                    v = apply_move(v, rng.choice(all_moves(m)))
+            else:
+                target = len(minimize(u, m)[0])
+                while True:
+                    v = cyclic_word(random_cyclically_reduced(m, length, rng))
+                    if len(minimize(v, m)[0]) == target:
+                        break
+            pairs.append((m, u, v))
+    return pairs
+
+
+def search_record(m, u, v):
+    """Both descents and the certificate of one pair, as JSON."""
+    def descent(w):
+        word, moves = minimize(w, m)
+        return {"word": format_word(word), "moves": [move_jsonable(mv) for mv in moves]}
+
+    cert = same_orbit(u, v, m)
+    return {
+        "m": m,
+        "u": format_word(u),
+        "v": format_word(v),
+        "min_u": descent(u),
+        "min_v": descent(v),
+        "certificate": certificate_jsonable(cert) if cert is not None else None,
+    }
+
+
+class TestPinnedSearch:
+    """``whitehead_pinned.json`` holds the descents and certificates that
+    the quadratic-rotation search (commit 396b6a8) gave on
+    :func:`pinned_pairs`; the search must keep producing them byte for
+    byte.  Regenerate only on purpose, with
+    ``[search_record(*p) for p in pinned_pairs()]``."""
+
+    def test_outputs_match_recording(self):
+        recorded = json.loads(PINNED.read_text())
+        pairs = pinned_pairs()
+        assert [(r["m"], r["u"], r["v"]) for r in recorded] == [
+            (m, format_word(u), format_word(v)) for m, u, v in pairs
+        ]
+        assert any(r["certificate"] is None for r in recorded)
+        assert any(r["certificate"] is not None for r in recorded)
+        for rec, (m, u, v) in zip(recorded, pairs):
+            assert search_record(m, u, v) == rec, rec["u"]

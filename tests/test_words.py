@@ -5,6 +5,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from relfold.words import (
     Alphabet,
@@ -21,6 +23,7 @@ from relfold.words import (
     is_cyclically_reduced,
     is_proper_power,
     is_reduced,
+    least_rotation_offset,
     letter_key,
     parse_word,
     power_decomposition,
@@ -28,7 +31,7 @@ from relfold.words import (
     random_cyclically_reduced_up_to,
     substitute,
 )
-from oracles import enumerate_cyclically_reduced, enumerate_reduced
+from oracles import enumerate_cyclically_reduced, enumerate_reduced, oracle_least_rotation
 
 
 def words_upto(m, t):
@@ -136,6 +139,12 @@ class TestCyclicWords:
             from relfold.words import word_key
             assert all(word_key(c) <= word_key(r) for r in rots)
 
+    @pytest.mark.parametrize("m,top", [(2, 8), (3, 6)])
+    def test_least_rotation_matches_oracle_exhaustively(self, m, top):
+        for t in range(1, top + 1):
+            for w in enumerate_cyclically_reduced(m, t):
+                assert canonical_rotation(w) == oracle_least_rotation(w), w
+
     def test_cyclic_word_rotation_invariant(self):
         rng = random.Random(105)
         for _ in range(200):
@@ -144,6 +153,41 @@ class TestCyclicWords:
             assert cyclic_word(w[rot:] + w[:rot]) == cyclic_word(w)
             conj = free_reduce([rng.choice([1, -1, 2, -2]) for _ in range(4)])
             assert cyclic_word(concat(conj, w, inverse(conj))) == cyclic_word(w)
+
+
+def cyclic_core(letters):
+    return cyclic_reduce(free_reduce(letters))[0]
+
+
+LETTERS3 = st.sampled_from([1, -1, 2, -2, 3, -3])
+
+
+class TestLeastRotationProperties:
+    """Booth's failure function against the naive rotation.  Periodic
+    inputs u^k, where many rotations tie, are its edge cases."""
+
+    @settings(deadline=None)
+    @given(st.lists(LETTERS3, max_size=300))
+    def test_random_words(self, letters):
+        w = cyclic_core(letters)
+        assert canonical_rotation(w) == oracle_least_rotation(w)
+
+    @settings(deadline=None)
+    @given(st.lists(LETTERS3, min_size=1, max_size=30), st.integers(1, 300), st.data())
+    def test_periodic_words(self, letters, k, data):
+        u = cyclic_core(letters)
+        assume(u)
+        w = u * min(k, 300 // len(u))
+        shift = data.draw(st.integers(0, len(w) - 1))
+        w = w[shift:] + w[:shift]
+        assert canonical_rotation(w) == oracle_least_rotation(w)
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(0, 2), min_size=1, max_size=20), st.integers(1, 15))
+    def test_offset_is_first_least(self, root, k):
+        keys = root * k
+        rotations = [keys[o:] + keys[:o] for o in range(len(keys))]
+        assert least_rotation_offset(keys) == rotations.index(min(rotations))
 
 
 class TestPowers:
