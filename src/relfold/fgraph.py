@@ -1,4 +1,4 @@
-"""Labeled directed multigraphs with folding and certified rewriting moves.
+"""Labeled directed multigraphs with folding and certified surgery.
 
 An ``FGraph`` is a finite directed multigraph whose edges carry positive
 generator labels 1..m and which may carry a distinguished base vertex.
@@ -12,20 +12,20 @@ The module provides:
 * ``remove_degree_one`` -- strip hanging trees (relocating the base with a
   recorded conjugator when necessary);
 * ``relocate_base`` -- the record of a base move along a walk;
-* ``apply_M1`` / ``apply_M2`` / ``apply_AO`` -- attach a parallel path with
-  an equal-in-G label / remove a redundant subpath / the combined
-  attach-then-remove surgery;
+* ``apply_AO`` -- the combined surgery: attach a short path with an
+  equal-in-G label, then remove a long subpath;
 * ``free_basis`` / ``maximal_arcs`` / ``arc_owner`` / ``trace_word`` --
   spanning-tree bases, arc decomposition, and deterministic word tracing.
 
-Every move returns a ``MoveRecord`` carrying two-way *basis witnesses*:
-for each free-basis loop of the post-move graph, a word over the pre-move
-basis whose evaluation equals the loop's label (in the free group for
-folds and degree-one removals, in the presented group for M1/M2/AO), and
-conversely.  The witness computation rests on one identity: for any walk
-``p`` closing at the root of a spanning tree, the label of ``p`` freely
-equals the product of the basis words of the non-tree edges ``p`` crosses,
-in crossing order; this holds in arbitrary graphs, folded or not, because
+The moves are exactly Fold, R (a degree-one removal or base move) and
+AO.  Every move returns a ``MoveRecord`` carrying two-way *basis
+witnesses*: for each free-basis loop of the post-move graph, a word over
+the pre-move basis whose evaluation equals the loop's label (in the free
+group for Fold and R, in the presented group for AO), and conversely.
+The witness computation rests on one identity: for any walk ``p``
+closing at the root of a spanning tree, the label of ``p`` freely equals
+the product of the basis words of the non-tree edges ``p`` crosses, in
+crossing order; this holds in arbitrary graphs, folded or not, because
 tree-path labels telescope.
 
 Every move's record comes from one routine, ``_record``: the move mutates
@@ -58,59 +58,35 @@ class Path:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def reversed_from(self, end: int) -> "Path":
-        return Path(end, reverse_steps(self.steps))
-
 
 def reverse_steps(steps: Sequence[tuple]) -> tuple:
     """The (edge, dir) steps of a walk, traversed backward."""
     return tuple((e, -d) for e, d in reversed(steps))
 
 
+MOVE_KINDS = ("Fold", "R", "AO")
+
+
 @dataclass
 class MoveRecord:
-    """One graph move with enough data to replay and to certify bases.
+    """One graph move with enough data to certify bases.
 
     ``post_in_pre[j]`` is a word over pre-basis symbols (letter k stands
     for pre-basis element k) whose evaluation at ``pre_basis`` equals
     ``post_basis[j]`` -- freely for Fold/R, in the presented group for
-    M1/M2/AO.  ``pre_in_post`` is the converse direction.  For a
+    AO.  ``pre_in_post`` is the converse direction.  For a
     base-moving R the relation is conjugated: label(post_j) equals
     conjugator^-1 * Eval(post_in_pre[j]) * conjugator, and symmetrically
     pre_i equals conjugator * Eval(pre_in_post[i]) * conjugator^-1.
     """
 
-    kind: str  # "Fold" | "R" | "M1" | "M2" | "AO"
-    vertex_map: dict  # pre vertex -> post vertex (removed vertices absent)
-    edge_map: dict  # pre edge -> post edge (removed edges absent)
-    added_vertices: tuple = ()
-    added_edges: tuple = ()  # (edge id, origin, terminus, label) in post ids
+    kind: str  # one of MOVE_KINDS
     pre_basis: tuple = ()
     post_basis: tuple = ()
     post_in_pre: tuple = ()
     pre_in_post: tuple = ()
     conjugator: Word = ()
     detail: dict = field(default_factory=dict)
-
-    def replay_edges(self, pre_edges: dict) -> list:
-        """Apply this record's maps to a pre-move edge table.
-
-        ``pre_edges`` maps edge id -> (origin, terminus, label).  Returns
-        the sorted post-move edge list [(id, o, t, label), ...] for
-        comparison with the actual post graph.
-        """
-        out = {}
-        for eid, (o, t, lbl) in pre_edges.items():
-            if eid not in self.edge_map:
-                continue
-            nid = self.edge_map[eid]
-            no = self.vertex_map[o]
-            nt = self.vertex_map[t]
-            if out.setdefault(nid, (no, nt, lbl)) != (no, nt, lbl):
-                raise RuntimeError(f"edges merged into {nid} disagree")
-        for eid, o, t, lbl in self.added_edges:
-            out[eid] = (o, t, lbl)
-        return sorted((eid, o, t, lbl) for eid, (o, t, lbl) in out.items())
 
 
 class FGraph:
@@ -147,26 +123,22 @@ class FGraph:
         self._in[t].add(e)
         return e
 
-    def add_path(self, start: int, end: Optional[int], word: Sequence[int]) -> tuple[tuple, tuple]:
+    def add_path(self, start: int, end: Optional[int], word: Sequence[int]) -> tuple:
         """Attach fresh edges spelling ``word`` from ``start`` to ``end``.
 
         With ``end`` None the path ends at a fresh vertex.  Returns the
-        path's (edge, dir) steps and its fresh vertices in creation order.
+        path's (edge, dir) steps.
         """
-        steps, fresh = [], []
+        steps = []
         cur = start
         for i, x in enumerate(word):
-            if end is not None and i == len(word) - 1:
-                nxt = end
-            else:
-                nxt = self.add_vertex()
-                fresh.append(nxt)
+            nxt = end if end is not None and i == len(word) - 1 else self.add_vertex()
             if x > 0:
                 steps.append((self.add_edge(cur, nxt, x), 1))
             else:
                 steps.append((self.add_edge(nxt, cur, -x), -1))
             cur = nxt
-        return tuple(steps), tuple(fresh)
+        return tuple(steps)
 
     @staticmethod
     def from_edges(edge_list: Iterable[tuple], base: Optional[int] = None) -> "FGraph":
@@ -183,17 +155,6 @@ class FGraph:
             g.add_edge(remap[o], remap[t], lbl)
         if base is not None:
             g.base = remap[base]
-        return g
-
-    def copy(self) -> "FGraph":
-        g = FGraph()
-        g.vertices = set(self.vertices)
-        g.edges = dict(self.edges)
-        g.base = self.base
-        g._out = {v: set(s) for v, s in self._out.items()}
-        g._in = {v: set(s) for v, s in self._in.items()}
-        g._next_vertex = self._next_vertex
-        g._next_edge = self._next_edge
         return g
 
     # -- mutation primitives (internal) -----------------------------------
@@ -469,8 +430,7 @@ def _conjugate(w: Word, c: Word) -> Word:
 
 
 def _record(kind: str, g: FGraph, pre, lift_post, lift_pre, rank_change: int, *,
-            detail: dict, conjugator: Word = (), merged: tuple = ((), ()),
-            added_vertices: tuple = (), added_edges: tuple = ()) -> tuple[MoveRecord, tuple]:
+            detail: dict, conjugator: Word = ()) -> tuple[MoveRecord, tuple]:
     """Certify a move that has just mutated ``g`` and build its record.
 
     ``pre`` is the pre-move ``basis_data`` at the old base.  ``lift_post``
@@ -482,10 +442,7 @@ def _record(kind: str, g: FGraph, pre, lift_post, lift_pre, rank_change: int, *,
     ``basis_data`` proves the graph connected) must change by exactly
     ``rank_change``, and Fold/R witnesses must hold in the free group up
     to conjugation by ``conjugator``; a failure raises RuntimeError.
-
-    ``merged`` holds two maps (vertices, edges) from the pre ids the move
-    identified with others to their post ids; every other surviving id that is not ``added_*`` maps to
-    itself.  Returns the record and the post-move basis data.
+    Returns the record and the post-move basis data.
     """
     post = g.basis_data(g.base)
     _, pre_nontree, pre_loops, pre_labels = pre
@@ -506,18 +463,8 @@ def _record(kind: str, g: FGraph, pre, lift_post, lift_pre, rank_change: int, *,
                          for i, u in enumerate(pre_in_post)))
         if not holds:
             raise RuntimeError(f"{kind} basis witness fails in the free group")
-
-    vertex_map = {u: u for u in g.vertices if u not in added_vertices}
-    vertex_map.update(merged[0])
-    new_edges = {a[0] for a in added_edges}
-    edge_map = {e: e for e in g.edges if e not in new_edges}
-    edge_map.update(merged[1])
     return MoveRecord(
         kind=kind,
-        vertex_map=vertex_map,
-        edge_map=edge_map,
-        added_vertices=added_vertices,
-        added_edges=added_edges,
         pre_basis=pre_labels,
         post_basis=post_labels,
         post_in_pre=post_in_pre,
@@ -613,18 +560,14 @@ def fold_all(g: FGraph) -> list[MoveRecord]:
 
         # mutate: merge e2 into e1, far vertices together
         g._remove_edge(e2)
-        merged_vertices = {}
         if far1 != far2:
-            keep, drop = min(far1, far2), max(far1, far2)
-            g._merge_vertices(keep, drop)
-            merged_vertices[drop] = keep
+            g._merge_vertices(min(far1, far2), max(far1, far2))
 
         record, pre = _record(
             "Fold", g, pre,
             lambda steps: _lift_fold(pre_ends, base_pre, steps, e1, e2, outgoing),
             lambda steps: tuple((e1 if e == e2 else e, d) for e, d in steps),
             0 if far1 != far2 else -1,
-            merged=(merged_vertices, {e2: e1}),
             detail={"at_vertex": v, "outgoing": outgoing, "edges": (e1, e2)},
         )
         records.append(record)
@@ -742,7 +685,7 @@ def arc_owner(g: FGraph) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Run replacement (shared by M1 / M2 / AO witnesses)
+# AO: attach a short bypass, remove a long subpath
 
 
 def _replace_runs(steps: Sequence[tuple], target: Sequence[tuple],
@@ -776,104 +719,6 @@ def _replace_runs(steps: Sequence[tuple], target: Sequence[tuple],
     return tuple(out)
 
 
-def _structural_path_check(g: FGraph, p: Path) -> None:
-    g.path_end(p)  # raises if steps are not consecutive
-    if not g.path_is_reduced(p):
-        raise ValueError("path must be reduced")
-
-
-def _remove_edges(g: FGraph, edges: Sequence[int], candidates) -> tuple:
-    """Delete ``edges``, then every non-base vertex among ``candidates``
-    left isolated; returns those vertices, sorted."""
-    for e in edges:
-        g._remove_edge(e)
-    isolated = tuple(v for v in sorted(candidates) if g.degree(v) == 0 and v != g.base)
-    for v in isolated:
-        g._remove_isolated_vertex(v)
-    return isolated
-
-
-def _check_inside_one_arc(g: FGraph, p: Path) -> None:
-    owner = arc_owner(g)
-    if len({owner[e] for e, _ in p.steps}) != 1:
-        raise ValueError("path must lie inside a single maximal arc")
-
-
-# ---------------------------------------------------------------------------
-# M1: attach a parallel path
-
-
-def apply_M1(g: FGraph, p: Path, v_prime: Word) -> MoveRecord:
-    """Attach a new path from o(p) to t(p) spelling v_prime.
-
-    The caller certifies that the label of p equals v_prime in the
-    presented group; the move itself checks structure only.  Rank
-    increases by exactly one.
-    """
-    if not v_prime:
-        raise ValueError("M1 requires a nonempty attached word")
-    _structural_path_check(g, p)
-    start = p.start
-    end = g.path_end(p)
-    pre = g.basis_data(g.base)
-    new_steps, added_vertices = g.add_path(start, end, v_prime)
-    return _record(
-        "M1", g, pre,
-        lambda steps: _replace_runs(steps, new_steps, p.steps),
-        lambda steps: steps,
-        1,
-        added_vertices=added_vertices,
-        added_edges=tuple((e, *g.edges[e]) for e, _ in new_steps),
-        detail={"path_start": start, "path_end": end, "attached": v_prime},
-    )[0]
-
-
-# ---------------------------------------------------------------------------
-# M2: remove a redundant subpath
-
-
-def apply_M2(g: FGraph, p: Path, alt: Path) -> MoveRecord:
-    """Remove the edges of p, a simple path inside one maximal arc.
-
-    ``alt``, sharing no edges with p, must run from o(p) to t(p) with a
-    label the caller certifies equal in the presented group.  Rank
-    decreases by exactly one; the graph must stay connected.
-    """
-    _structural_path_check(g, p)
-    if not p.steps:
-        raise ValueError("M2 requires a nonempty path")
-    p_edges = [e for e, _ in p.steps]
-    if len(set(p_edges)) != len(p_edges):
-        raise ValueError("M2 path must be simple")
-    _check_inside_one_arc(g, p)
-    g.path_end(alt)
-    if alt.start != p.start or g.path_end(alt) != g.path_end(p):
-        raise ValueError("alternative path must share endpoints with p")
-    if set(e for e, _ in alt.steps) & set(p_edges):
-        raise ValueError("alternative path may not use edges of p")
-
-    trial = g.copy()
-    _remove_edges(trial, p_edges, trial.vertices)
-    if not trial.is_connected() or (g.base is not None and g.base not in trial.vertices):
-        raise ValueError("removal would disconnect the graph")
-
-    pre = g.basis_data(g.base)
-    removed_vertices = _remove_edges(g, p_edges, g.vertices)
-
-    return _record(
-        "M2", g, pre,
-        lambda steps: steps,
-        lambda steps: _replace_runs(steps, p.steps, alt.steps),
-        -1,
-        detail={"removed_edges": tuple(p_edges),
-                "removed_vertices": removed_vertices},
-    )[0]
-
-
-# ---------------------------------------------------------------------------
-# AO: attach a short bypass, remove a long subpath
-
-
 def apply_AO(g: FGraph, p1: Path, p_prime: Path, p2: Path, y: Word) -> MoveRecord:
     """The combined surgery: attach a path labeled y from t(p) to o(p),
     where p = p1 * p_prime * p2, then remove the edges of p_prime.
@@ -892,14 +737,17 @@ def apply_AO(g: FGraph, p1: Path, p_prime: Path, p2: Path, y: Word) -> MoveRecor
     steps = p1.steps + p_prime.steps + p2.steps
     start = p1.start if p1.steps else p_prime.start
     p = Path(start, steps)
-    _structural_path_check(g, p)
-    end = g.path_end(p)
+    end = g.path_end(p)  # raises if steps are not consecutive
+    if not g.path_is_reduced(p):
+        raise ValueError("path must be reduced")
     if g.path_end(Path(start, p1.steps)) != p_prime.start:
         raise ValueError("p1 must end where p_prime starts")
     pp_edges = [e for e, _ in p_prime.steps]
     if len(set(pp_edges)) != len(pp_edges):
         raise ValueError("AO removed path must be simple")
-    _check_inside_one_arc(g, p_prime)
+    owner = arc_owner(g)
+    if len({owner[e] for e, _ in p_prime.steps}) != 1:
+        raise ValueError("path must lie inside a single maximal arc")
     outside = {e for e, _ in p1.steps} | {e for e, _ in p2.steps}
     if outside & set(pp_edges):
         raise ValueError("p1/p2 may not share edges with the removed path")
@@ -912,10 +760,14 @@ def apply_AO(g: FGraph, p1: Path, p_prime: Path, p2: Path, y: Word) -> MoveRecor
         raise ValueError("removed path may not contain the base as interior")
 
     pre = g.basis_data(g.base)
-    # attach f: t(p) -> o(p) labeled y, then remove p_prime
-    f_steps, added_vertices = g.add_path(end, start, y)
-    added_edges = tuple((e, *g.edges[e]) for e, _ in f_steps)
-    removed_vertices = _remove_edges(g, pp_edges, interior)
+    # attach f: t(p) -> o(p) labeled y, then remove p_prime and the
+    # interior vertices it leaves isolated
+    f_steps = g.add_path(end, start, y)
+    for e in pp_edges:
+        g._remove_edge(e)
+    removed_vertices = tuple(v for v in sorted(interior) if g.degree(v) == 0)
+    for v in removed_vertices:
+        g._remove_isolated_vertex(v)
 
     # post loops: each f-run is replaced by the reverse of p; pre loops:
     # each p_prime-run detours along p1^-1 f^-1 p2^-1
@@ -925,8 +777,6 @@ def apply_AO(g: FGraph, p1: Path, p_prime: Path, p2: Path, y: Word) -> MoveRecor
         lambda steps: _replace_runs(steps, f_steps, reverse_steps(p.steps)),
         lambda steps: _replace_runs(steps, p_prime.steps, detour),
         0 if y else -1,
-        added_vertices=added_vertices,
-        added_edges=added_edges,
         detail={"removed_edges": tuple(pp_edges),
                 "removed_vertices": removed_vertices,
                 "attached": y},

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .fgraph import (
+    MOVE_KINDS,
     FGraph,
     MoveRecord,
     Path,
@@ -542,25 +543,19 @@ def _indices(values, limit: Optional[int] = None) -> tuple:
     return values
 
 
-def _word(text) -> Word:
-    if not isinstance(text, str):
-        raise ValueError(f"bad word {text!r}: words are strings")
-    return parse_word(text)
-
-
 def _words(texts) -> tuple:
     if isinstance(texts, str):
         raise ValueError(f"bad word list {texts!r}")
-    return tuple(_word(s) for s in texts)
+    return tuple(parse_word(s) for s in texts)
 
 
 def trace_from_jsonable(data: dict) -> NielsenTrace:
     """Rebuild a verifiable trace from its JSON form.
 
-    Graph-level bookkeeping (vertex and edge maps) is not serialized, so
-    the records round-trip only what :func:`verify_trace` consumes.
-    Malformed documents raise KeyError, TypeError or ValueError: words
-    must be strings and basis indices nonzero integers.
+    The records round-trip only what :func:`verify_trace` consumes.
+    Malformed documents raise KeyError, TypeError or ValueError: step
+    kinds must be Fold, R or AO, words strings and basis indices nonzero
+    integers.
     """
     initial = _words(data["initial_tuple"])
     arrangement = _indices(data["initial_arrangement"], len(initial))
@@ -571,15 +566,15 @@ def trace_from_jsonable(data: dict) -> NielsenTrace:
     steps = []
     for row in data["steps"]:
         snapshot = _words(row["snapshot"])
+        if row["kind"] not in MOVE_KINDS:
+            raise ValueError(f"bad step kind {row['kind']!r}")
         record = MoveRecord(
             kind=row["kind"],
-            vertex_map={},
-            edge_map={},
             pre_basis=previous,
             post_basis=snapshot,
             post_in_pre=tuple(_indices(w) for w in row["post_in_pre"]),
             pre_in_post=tuple(_indices(w) for w in row["pre_in_post"]),
-            conjugator=_word(row["conjugator"]),
+            conjugator=parse_word(row["conjugator"]),
         )
         steps.append((record, snapshot))
         previous = snapshot
@@ -588,7 +583,7 @@ def trace_from_jsonable(data: dict) -> NielsenTrace:
         initial_arrangement=arrangement,
         steps=tuple(steps),
         final_tuple=_words(data["final_tuple"]),
-        conjugator=_word(data["conjugator"]),
+        conjugator=parse_word(data["conjugator"]),
     )
 
 

@@ -163,7 +163,7 @@ def is_readable(query: ReadabilityQuery) -> ReadabilityAnswer:
         # The bare interval graph is a witness: l edges, rank 0, and its
         # endpoints have degree 1.
         g = FGraph()
-        path_steps, _ = g.add_path(g.add_vertex(), None, word)
+        path_steps = g.add_path(g.add_vertex(), None, word)
         return ReadabilityAnswer(READABLE, g, Path(0, path_steps))
 
     # Distinct generators still missing from the graph at each suffix.

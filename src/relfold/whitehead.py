@@ -370,12 +370,27 @@ def move_jsonable(mv) -> dict:
     raise TypeError(f"not a Whitehead move: {mv!r}")
 
 
+def _field(data, key: str):
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f"no {key!r} in {data!r}")
+    return data[key]
+
+
+def _letters(values) -> tuple:
+    """A JSON list of signed letters: true ints, never bools."""
+    if not isinstance(values, list) or any(type(x) is not int for x in values):
+        raise ValueError(f"bad letter list {values!r}")
+    return tuple(values)
+
+
 def move_from_jsonable(data: dict):
-    kind = data.get("kind")
+    """Rebuild a move; a malformed document raises ValueError."""
+    kind = _field(data, "kind")
     if kind == "relabel":
-        return Relabel(tuple(data["images"]))
+        return Relabel(_letters(_field(data, "images")))
     if kind == "multiplier":
-        return Multiplier(data["letter"], frozenset(data["cut"]))
+        [letter] = _letters([_field(data, "letter")])
+        return Multiplier(letter, frozenset(_letters(_field(data, "cut"))))
     raise ValueError(f"unknown move kind: {kind!r}")
 
 
@@ -389,9 +404,16 @@ def certificate_jsonable(cert: OrbitCertificate) -> dict:
 
 
 def certificate_from_jsonable(data: dict) -> OrbitCertificate:
+    """Rebuild a certificate; a malformed document raises ValueError:
+    words must be strings, letters ints and ``inverted`` a bool."""
+    moves, inverted = _field(data, "moves"), _field(data, "inverted")
+    if not isinstance(moves, list):
+        raise ValueError(f"bad move list {moves!r}")
+    if type(inverted) is not bool:
+        raise ValueError(f"bad inverted flag {inverted!r}")
     return OrbitCertificate(
-        moves=tuple(move_from_jsonable(d) for d in data["moves"]),
-        source=parse_word(data["source"]),
-        target=parse_word(data["target"]),
-        inverted=bool(data["inverted"]),
+        moves=tuple(move_from_jsonable(d) for d in moves),
+        source=parse_word(_field(data, "source")),
+        target=parse_word(_field(data, "target")),
+        inverted=inverted,
     )

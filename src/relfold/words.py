@@ -253,7 +253,11 @@ def parse_word(text: str, m: int | None = None) -> Word:
     (1, -2, 1)
     >>> parse_word("1")
     ()
+
+    Anything but a string raises ``ValueError``.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"bad word {text!r}: words are strings")
     text = text.strip()
     if text == "1" or text == "":
         return ()

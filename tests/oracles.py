@@ -1,5 +1,6 @@
 """Independent brute-force oracles for the tests: word enumeration, least
-rotation, and readability of short words.
+rotation, and readability of short words; and the document mutator of
+the fuzz tests.
 
 ``oracle_is_readable`` does not search partial walks the way
 :func:`relfold.readability.is_readable` does.  A path spelling the word
@@ -29,6 +30,7 @@ generators and word reversal, which commute with quotients and folding.
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 from itertools import combinations, permutations, product
 from typing import Iterator
@@ -158,3 +160,31 @@ def oracle_is_readable(query: ReadabilityQuery) -> bool:
         and (not query.require_low_degree or mindeg < 2 * query.m)
         for e, rank, mindeg in _ORACLE_CACHE[canon]
     )
+
+
+FUZZ_VALUES = (None, True, 1.5, "x", "1", "", [], {}, [0], 0, -1, 3, 10**6, -(10**6))
+
+
+def mutate_document(doc, rng) -> list:
+    """Delete or overwrite (with one of ``FUZZ_VALUES``) one to three random
+    slots anywhere below a JSON document's root; returns what was done."""
+    mutations = []
+    for _ in range(rng.randint(1, 3)):
+        slots = []
+
+        def walk(node):
+            keys = node if isinstance(node, dict) else range(len(node))
+            for key in keys:
+                slots.append((node, key))
+                if isinstance(node[key], (dict, list)):
+                    walk(node[key])
+
+        walk(doc)
+        parent, key = rng.choice(slots)
+        if rng.random() < 0.25:
+            del parent[key]
+            mutations.append(("delete", key))
+        else:
+            parent[key] = copy.deepcopy(rng.choice(FUZZ_VALUES))
+            mutations.append((key, parent[key]))
+    return mutations

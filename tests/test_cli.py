@@ -9,6 +9,7 @@ import pytest
 from relfold import cli
 from relfold.smallcancel import Presentation, check_Cprime
 from relfold.words import Alphabet, format_word, is_proper_power, random_cyclically_reduced
+from oracles import mutate_document
 
 EX_USAGE = 64
 
@@ -180,21 +181,6 @@ class TestReduce:
         assert "arity" in capsys.readouterr().err
 
 
-def _random_slot(doc, rng):
-    """A random (container, key) slot anywhere below the document root."""
-    slots = []
-
-    def walk(node):
-        keys = node if isinstance(node, dict) else range(len(node))
-        for key in keys:
-            slots.append((node, key))
-            if isinstance(node[key], (dict, list)):
-                walk(node[key])
-
-    walk(doc)
-    return rng.choice(slots)
-
-
 class TestVerify:
     def make_trace(self, tmp_path, smooth_relator):
         pres = write_presentation(tmp_path / "p.txt", 2, smooth_relator)
@@ -233,13 +219,15 @@ class TestVerify:
     @pytest.mark.parametrize("field,bad", [
         ("post_in_pre", "x"), ("post_in_pre", 1.5),
         ("initial_arrangement", "1"), ("initial_arrangement", 1.5),
-        ("snapshot", 7),
+        ("snapshot", 7), ("kind", "M1"), ("kind", 5),
     ])
     def test_mistyped_trace_exits_usage(self, tmp_path, capsys, smooth_relator, field, bad):
         pres, trace = self.make_trace(tmp_path, smooth_relator)
         doc = json.loads(trace.read_text())
         if field == "initial_arrangement":
             doc[field][0] = bad
+        elif field == "kind":
+            doc["steps"][0][field] = bad
         else:
             doc["steps"][0][field][0] = [bad] if field == "post_in_pre" else bad
         trace.write_text(json.dumps(doc))
@@ -250,19 +238,10 @@ class TestVerify:
     def test_fuzzed_trace_never_crashes(self, tmp_path, capsys, smooth_relator):
         pres, trace = self.make_trace(tmp_path, smooth_relator)
         original = trace.read_text()
-        bad_values = [None, True, 1.5, "x", "1", "", [], {}, [0], 0, -1, 3, 10**6, -(10**6)]
         rng = random.Random(5150)
         for run in range(300):
             doc = json.loads(original)
-            mutations = []
-            for _ in range(rng.randint(1, 3)):
-                parent, key = _random_slot(doc, rng)
-                if rng.random() < 0.25:
-                    del parent[key]
-                    mutations.append(("delete", key))
-                else:
-                    parent[key] = rng.choice(bad_values)
-                    mutations.append((key, parent[key]))
+            mutations = mutate_document(doc, rng)
             trace.write_text(json.dumps(doc))
             capsys.readouterr()
             try:

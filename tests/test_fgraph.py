@@ -13,8 +13,6 @@ from relfold.fgraph import (
     FGraph,
     Path,
     apply_AO,
-    apply_M1,
-    apply_M2,
     bouquet,
     fold_all,
     is_alphabet_bouquet,
@@ -22,18 +20,6 @@ from relfold.fgraph import (
     remove_degree_one,
 )
 from relfold.words import concat, free_reduce, inverse, substitute
-
-
-def edge_table(g):
-    return {e: g.edges[e] for e in g.edges}
-
-
-def replay_chain(records, pre_edges):
-    """Push an edge table through a list of MoveRecords."""
-    table = dict(pre_edges)
-    for rec in records:
-        table = {eid: (o, t, lbl) for eid, o, t, lbl in rec.replay_edges(table)}
-    return sorted((eid, o, t, lbl) for eid, (o, t, lbl) in table.items())
 
 
 def assert_free_witnesses(rec):
@@ -110,13 +96,6 @@ class TestPaths:
         assert g.trace_word(g.base, (1, 1)) is None
         assert g.trace_word(g.base, (2,)) is None  # base has no b-edge out
 
-    def test_reversed_from(self):
-        g = bouquet([(1, 2)])
-        p = g.trace_word(g.base, (1, 2))
-        q = p.reversed_from(g.path_end(p))
-        assert g.path_end(q) == p.start
-        assert g.path_label(q) == (-2, -1)
-
 
 class TestFreeBasis:
     def test_theta_graph_basis(self):
@@ -187,13 +166,6 @@ class TestFolding:
         assert is_alphabet_bouquet(g, 2)
         assert g.free_basis() == ((1,), (2,))
 
-    def test_fold_records_replay(self):
-        g = bouquet([(1, 2), (2,), (1, -2, 1)])
-        pre = edge_table(g)
-        records = fold_all(g)
-        assert replay_chain(records, pre) == sorted(
-            (e, o, t, lbl) for e, (o, t, lbl) in g.edges.items())
-
     def test_fold_decrements_edges_by_one(self):
         g = bouquet([(1, 2, 1), (1, 2)])
         e0 = g.num_edges()
@@ -219,7 +191,8 @@ class TestFolding:
         records = fold_all(g)
         assert len(records) == 1
         assert g.base == 0
-        assert records[0].vertex_map[1] == 0
+        assert g.vertices == {0, 2, 3}
+        assert g.edges == {0: (2, 0, 1), 2: (0, 3, 2), 3: (0, 3, 3)}
         assert g.is_folded()
         assert_free_witnesses(records[0])
 
@@ -235,7 +208,6 @@ class TestFolding:
             if not ws:
                 continue
             g = bouquet(ws)
-            pre = edge_table(g)
             records = fold_all(g)
             assert g.is_folded()
             assert g.rank() <= len(ws)
@@ -244,8 +216,6 @@ class TestFolding:
                 assert p is not None and g.path_end(p) == g.base
             for rec in records:
                 assert_free_witnesses(rec)
-            assert replay_chain(records, pre) == sorted(
-                (e, o, t, lbl) for e, (o, t, lbl) in g.edges.items())
 
 
 class TestDegreeOneRemoval:
@@ -356,82 +326,6 @@ class TestArcs:
             maximal_arcs(g)
 
 
-class TestM1M2:
-    def test_m1_attach_parallel_then_m2_undo(self):
-        g = bouquet([(1,), (2,)])
-        original = g.dump()
-        pre = edge_table(g)
-        p = g.trace_word(g.base, (1,))
-        rec1 = apply_M1(g, p, (1,))
-        assert g.rank() == 3
-        assert rec1.added_edges and rec1.added_vertices == ()
-        new_edge = rec1.added_edges[0][0]
-        # the attached label freely equals the path label, so even the
-        # group-level witnesses hold freely here
-        assert_free_witnesses(rec1)
-        mid = edge_table(g)
-        assert {eid: (o, t, lbl) for eid, o, t, lbl in rec1.replay_edges(pre)} == mid
-
-        rec2 = apply_M2(g, Path(g.base, ((new_edge, 1),)), p)
-        assert g.dump() == original
-        assert_free_witnesses(rec2)
-        assert {eid: (o, t, lbl) for eid, o, t, lbl in rec2.replay_edges(mid)} == edge_table(g)
-
-    def test_m1_rejects_empty_word(self):
-        g = bouquet([(1,)])
-        with pytest.raises(ValueError):
-            apply_M1(g, Path(g.base, ()), ())
-
-    def test_m1_on_open_path(self):
-        # attach b parallel to the a-edge of a two-vertex graph
-        g = FGraph.from_edges([(0, 1, 1), (1, 0, 2)], base=0)
-        p = Path(0, ((0, 1),))
-        rec = apply_M1(g, p, (2,))
-        assert g.num_edges() == 3
-        assert g.rank() == 2
-        assert len(rec.post_basis) == 2
-
-    def test_m2_validates_endpoints_and_edges(self):
-        g = bouquet([(1,), (2,)])
-        p = g.trace_word(g.base, (1,))
-        rec = apply_M1(g, p, (1,))
-        new_edge = rec.added_edges[0][0]
-        q = Path(g.base, ((new_edge, 1),))
-        with pytest.raises(ValueError):
-            apply_M2(g, q, q)  # alt shares edges with p
-        with pytest.raises(ValueError):
-            apply_M2(g, Path(g.base, ()), p)  # empty removal path
-
-    def test_m2_must_stay_inside_one_arc(self):
-        # wedge of two loops: a path through the junction spans two arcs
-        g = bouquet([(1,), (2,)])
-        p = Path(g.base, ((0, 1), (1, 1)))
-        with pytest.raises(ValueError):
-            apply_M2(g, p, Path(g.base, ()))
-
-    def test_m2_protects_isolated_base(self):
-        # base sits inside the removed arc: removal would strand it
-        g = FGraph.from_edges([(1, 0, 1), (0, 1, 2), (1, 1, 3)], base=0)
-        arcs = maximal_arcs(g)
-        arc = next(a for a in arcs if len(a.steps) == 2)
-        p = Path(1, arc.steps)
-        with pytest.raises(ValueError):
-            apply_M2(g, p, Path(1, ()))
-
-    def test_m2_closed_arc_removal(self):
-        # removing a redundant closed arc hanging at the base
-        g = FGraph.from_edges([(0, 0, 1), (0, 1, 2), (1, 0, 2)], base=0)
-        arcs = maximal_arcs(g)
-        arc = next(a for a in arcs if len(a.steps) == 2)
-        start = g.step_ends(*arc.steps[0])[0]
-        assert start == 0
-        rec = apply_M2(g, Path(0, arc.steps), Path(0, ()))
-        assert g.num_edges() == 1
-        assert g.num_vertices() == 1
-        assert g.rank() == 1
-        assert rec.detail["removed_vertices"] == (1,)
-
-
 class TestAO:
     def build_cycle_with_chord(self):
         # 0 -a-> 1 -a-> 2 with a direct b-edge 0 -b-> 2; base 0
@@ -466,7 +360,9 @@ class TestAO:
         rec = apply_AO(g, p1, p_prime, Path(0, ()), ())
         assert g.rank() == rank_pre - 1
         assert g.num_edges() == 2
-        assert rec.added_edges == ()
+        assert g.edges == {0: (0, 1, 1), 1: (1, 0, 2)}  # nothing attached
+        assert g.vertices == {0, 1}
+        assert rec.detail["removed_vertices"] == (2,)
 
     def test_ao_requires_shortening(self):
         g = self.build_cycle_with_chord()
@@ -500,7 +396,9 @@ class TestAO:
         rec = apply_AO(g, Path(0, ()), p_prime, Path(3, ()), (-2, -2))
         assert g.num_edges() == 4 - 3 + 2
         assert g.rank() == 1
-        assert len(rec.added_edges) == 2
+        # the b^-1 b^-1 bypass runs 3 -> 4 -> 0 on two fresh edges
+        assert g.edges == {3: (0, 3, 2), 4: (4, 3, 2), 5: (0, 4, 2)}
+        assert rec.detail["removed_vertices"] == (1, 2)
 
 
 # Feeds the shared move-record routine correct lifts, a lift that yields a

@@ -2,13 +2,14 @@
 
 import dataclasses
 import json
+import pathlib
 import random
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from relfold import nielsen
+from relfold import cli, nielsen
 from relfold.fgraph import FGraph, Path, bouquet, fold_all, remove_degree_one
 from relfold.genericity import ClassParams, default_params
 from relfold.nielsen import (
@@ -495,3 +496,67 @@ class TestTraceSerialization:
             trace_jsonable(trace_from_jsonable(json.loads(once))), sort_keys=True
         )
         assert once == again
+
+
+PINNED = pathlib.Path(__file__).with_name("nielsen_pinned.json")
+PARAMS3 = ClassParams(Fraction(1, 48), Fraction(1, 1), 3)
+
+
+@lru_cache(maxsize=None)
+def fixture_presentation3(seed: int = 4243, length: int = 400) -> Presentation:
+    """A rank-3 one-relator presentation passing the class prechecks at PARAMS3."""
+    rng = random.Random(seed)
+    while True:
+        r = random_cyclically_reduced(3, length, rng)
+        if is_proper_power(r):
+            continue
+        p = Presentation(Alphabet(3), (r,))
+        if check_Cprime(p, PARAMS3.lam).ok:
+            return p
+
+
+def pinned_cases():
+    """The fixed reductions of :class:`TestPinnedTraces`: (name,
+    presentation, params, tuple).  At m = 2: two scrambled bases, the
+    relator-carrying tuples (r·a, b) and (b·r·b⁻¹·a, b), and their
+    conjugate (c·r·a·c⁻¹, c·b·c⁻¹), whose reduction strips leaves and
+    hops the base.  At m = 3: one scrambled basis.  Last, one
+    CertifiedFree tuple."""
+    p = fixture_presentation()
+    r = p.relators[0]
+    c = parse_word("bbaa")
+    return [
+        ("scrambled/2/7", p, PARAMS, scrambled_tuple(random.Random(7), 2)),
+        ("scrambled/2/31", p, PARAMS, scrambled_tuple(random.Random(31), 2)),
+        ("relator", p, PARAMS, (free_reduce(concat(r, (1,))), (2,))),
+        ("conjugated-relator", p, PARAMS,
+         (free_reduce(concat((2,), r, (-2,), (1,))), (2,))),
+        ("conjugated-tuple", p, PARAMS,
+         (free_reduce(concat(c, r, (1,), inverse(c))), free_reduce(concat(c, (2,), inverse(c))))),
+        ("scrambled/3/11", fixture_presentation3(), PARAMS3,
+         scrambled_tuple(random.Random(11), 3)),
+        ("free", p, PARAMS, (parse_word("ab"), parse_word("ba"))),
+    ]
+
+
+def pinned_record(name, p, params, tpl):
+    """The trace document of one pinned reduction, or the ``reduce --json``
+    payload when the verdict carries no trace."""
+    v = reduce_tuple(tpl, p, params)
+    doc = trace_jsonable(v.trace) if v.trace is not None else cli._reduce_payload(v)
+    return {"case": name, "kind": v.kind, "document": json.loads(json.dumps(doc))}
+
+
+class TestPinnedTraces:
+    """``nielsen_pinned.json`` holds what the reduction driver gave on
+    :func:`pinned_cases` at commit 0d381fe; records, snapshots and
+    payloads must stay the same byte for byte.  Regenerate only on
+    purpose, with ``[pinned_record(*c) for c in pinned_cases()]``."""
+
+    def test_outputs_match_recording(self):
+        recorded = json.loads(PINNED.read_text())
+        cases = pinned_cases()
+        assert [r["case"] for r in recorded] == [c[0] for c in cases]
+        assert {r["kind"] for r in recorded} == {WHOLE_GROUP, CERTIFIED_FREE}
+        for rec, case in zip(recorded, cases):
+            assert pinned_record(*case) == rec, rec["case"]

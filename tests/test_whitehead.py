@@ -35,7 +35,7 @@ from relfold.words import (
     parse_word,
     random_cyclically_reduced,
 )
-from oracles import enumerate_cyclically_reduced
+from oracles import enumerate_cyclically_reduced, mutate_document
 
 PINNED = pathlib.Path(__file__).with_name("whitehead_pinned.json")
 
@@ -367,6 +367,38 @@ class TestMoveSerialization:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             move_from_jsonable({"kind": "mystery"})
+
+    @pytest.mark.parametrize("doc", [
+        # a string flag is not a bool: "false" would read as True
+        {"moves": [], "source": "ab", "target": "BA", "inverted": "false"},
+        {"moves": [{"kind": "relabel", "images": [1.0, 2]}],
+         "source": "ab", "target": "ab", "inverted": False},
+        {"moves": [{"kind": "relabel", "images": "ab"}],
+         "source": "ab", "target": "ab", "inverted": False},
+        {"moves": [], "source": 12, "target": "ab", "inverted": False},
+        {"moves": [{"kind": "multiplier", "letter": True, "cut": [1, 2]}],
+         "source": "ab", "target": "aba", "inverted": False},
+    ])
+    def test_decoder_rejects_wrong_types(self, doc):
+        with pytest.raises(ValueError):
+            certificate_from_jsonable(doc)
+
+    def test_fuzzed_certificate_never_crashes(self):
+        recorded = [r for r in json.loads(PINNED.read_text()) if r["certificate"]]
+        rng = random.Random(5151)
+        for run in range(300):
+            rec = rng.choice(recorded)
+            doc = json.loads(json.dumps(rec["certificate"]))
+            mutations = mutate_document(doc, rng)
+            try:
+                cert = certificate_from_jsonable(doc)
+            except ValueError:
+                continue
+            try:
+                verdict = verify_certificate(cert, rec["m"])
+            except Exception as exc:
+                pytest.fail(f"run {run} {mutations}: {exc!r}")
+            assert verdict in (True, False), (run, mutations)
 
 
 # same_orbit with the certificate replay forced to fail must raise, not hand
