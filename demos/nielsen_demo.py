@@ -47,8 +47,10 @@ def main():
     print(f"verdict: {verdict.kind}")
     trace = verdict.trace
     kinds = [rec.kind for rec, _ in trace.steps]
-    print(f"moves: {len(kinds)} total — "
-          + ", ".join(f"{k}x{kinds.count(k)}" for k in sorted(set(kinds))))
+    moves = sum(rec.detail["moves"] for rec, _ in trace.steps)
+    print(f"records: {len(kinds)} ("
+          + ", ".join(f"{k}x{kinds.count(k)}" for k in sorted(set(kinds)))
+          + f"; one per fold phase, strip phase, hop or surgery) for {moves} moves")
     print(f"final tuple: {[format_word(w) for w in trace.final_tuple]}")
     print(f"replay: {'ok' if verify_trace(trace, p) else 'FAILED'}")
 

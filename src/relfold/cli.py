@@ -152,7 +152,7 @@ def _reduce_payload(verdict) -> dict:
     out: dict = {"kind": verdict.kind}
     if verdict.kind == nielsen.WHOLE_GROUP:
         t = verdict.trace
-        out["moves"] = len(t.steps)
+        out["moves"] = sum(rec.detail["moves"] for rec, _ in t.steps)
         out["surgeries"] = sum(1 for rec, _ in t.steps if rec.kind == "AO")
         out["final_tuple"] = [format_word(w) for w in t.final_tuple]
         out["conjugator"] = format_word(t.conjugator)

@@ -5,40 +5,34 @@ generator labels 1..m and which may carry a distinguished base vertex.
 Traversing an edge backward reads the inverse letter, so a single stored
 edge serves both a generator and its inverse.
 
-The module provides:
+The module provides ``bouquet`` (a wedge of loops spelling given words),
+``fold_all`` (Stallings folding), ``remove_degree_one`` (stripping hanging
+trees; a base on one walks off it), ``relocate_base``, ``apply_AO``
+(attach a short path with an equal-in-G label, then remove a long
+subpath), spanning-tree bases, maximal arcs and word tracing.
 
-* ``bouquet`` -- wedge of loop-paths spelling given words;
-* ``fold_all`` -- Stallings folding to a folded graph;
-* ``remove_degree_one`` -- strip hanging trees (relocating the base with a
-  recorded conjugator when necessary);
-* ``relocate_base`` -- the record of a base move along a walk;
-* ``apply_AO`` -- the combined surgery: attach a short path with an
-  equal-in-G label, then remove a long subpath;
-* ``free_basis`` / ``maximal_arcs`` / ``arc_owner`` / ``trace_word`` --
-  spanning-tree bases, arc decomposition, and deterministic word tracing.
+The graph changes by three kinds of record: Fold (a whole folding
+phase), R (a whole strip phase, or one base move) and AO (one surgery);
+``detail["moves"]`` counts the elementary moves a record stands for.
+Each ``MoveRecord`` carries two-way *basis witnesses*: for each
+free-basis loop of the graph after, a word over the basis before whose
+evaluation equals the loop's label (in the free group for Fold and R, in
+the presented group for AO), and conversely.  The words are read by
+crossings: the label of a walk closing at the root of a spanning tree
+freely equals the product of the basis words of the non-tree edges it
+crosses, in any graph, because tree-path labels telescope.  A folding
+phase joins the lifted edges of a loop with *connector* words, one per
+merged-away vertex (see ``fold_all``).
 
-The moves are exactly Fold, R (a degree-one removal or base move) and
-AO.  Every move returns a ``MoveRecord`` carrying two-way *basis
-witnesses*: for each free-basis loop of the post-move graph, a word over
-the pre-move basis whose evaluation equals the loop's label (in the free
-group for Fold and R, in the presented group for AO), and conversely.
-The witness computation rests on one identity: for any walk ``p``
-closing at the root of a spanning tree, the label of ``p`` freely equals
-the product of the basis words of the non-tree edges ``p`` crosses, in
-crossing order; this holds in arbitrary graphs, folded or not, because
-tree-path labels telescope.
-
-Every move's record comes from one routine, ``_record``: the move mutates
-the graph, then hands over its pre-move basis data and two step-lifting
-maps (post-move basis loops into the pre-move graph, and back).  The
-routine reads both witness directions by crossings, checks the rank
-change and, for Fold/R, the witnesses by free reduction, and returns the
-post-move basis data for the next move to reuse.
+One routine, ``_record``, builds every record: it reads both witness
+directions through the caller's lifts, and checks the rank change and,
+for Fold/R, the witnesses by free reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional, Sequence
 
 from .words import Word, free_reduce, inverse, concat, substitute
@@ -69,7 +63,7 @@ MOVE_KINDS = ("Fold", "R", "AO")
 
 @dataclass
 class MoveRecord:
-    """One graph move with enough data to certify bases.
+    """A fold or strip phase, base move or surgery, certifying bases.
 
     ``post_in_pre[j]`` is a word over pre-basis symbols (letter k stands
     for pre-basis element k) whose evaluation at ``pre_basis`` equals
@@ -148,9 +142,7 @@ class FGraph:
         """
         g = FGraph()
         seen = sorted({v for o, t, _ in edge_list for v in (o, t)} | ({base} if base is not None else set()))
-        remap = {}
-        for v in seen:
-            remap[v] = g.add_vertex()
+        remap = {v: g.add_vertex() for v in seen}
         for o, t, lbl in edge_list:
             g.add_edge(remap[o], remap[t], lbl)
         if base is not None:
@@ -174,23 +166,13 @@ class FGraph:
     def _merge_vertices(self, keep: int, drop: int) -> None:
         if keep == drop:
             return
-        for e in list(self._out[drop]):
+        for e in self._out.pop(drop) | self._in.pop(drop):
             o, t, lbl = self.edges[e]
-            self.edges[e] = (keep, t if t != drop else keep, lbl)
-            self._out[drop].discard(e)
-            self._out[keep].add(e)
-            if t == drop:
-                self._in[drop].discard(e)
-                self._in[keep].add(e)
-        for e in list(self._in[drop]):
-            o, t, lbl = self.edges[e]
-            self.edges[e] = (o if o != drop else keep, keep, lbl)
-            self._in[drop].discard(e)
-            self._in[keep].add(e)
-            if o == drop:
-                self._out[drop].discard(e)
-                self._out[keep].add(e)
-        self._remove_isolated_vertex(drop)
+            o, t = (keep if o == drop else o), (keep if t == drop else t)
+            self.edges[e] = (o, t, lbl)
+            self._out[o].add(e)
+            self._in[t].add(e)
+        self.vertices.discard(drop)
         if self.base == drop:
             self.base = keep
 
@@ -233,14 +215,8 @@ class FGraph:
         return len(self.edges) - len(self.vertices) + 1
 
     def is_folded(self) -> bool:
-        for v in self.vertices:
-            out_labels = [self.edges[e][2] for e in self._out[v]]
-            if len(out_labels) != len(set(out_labels)):
-                return False
-            in_labels = [self.edges[e][2] for e in self._in[v]]
-            if len(in_labels) != len(set(in_labels)):
-                return False
-        return True
+        return all(len({self.edges[e][2] for e in side[v]}) == len(side[v])
+                   for side in (self._out, self._in) for v in self.vertices)
 
     def step_ends(self, e: int, d: int) -> tuple[int, int]:
         o, t, _ = self.edges[e]
@@ -292,10 +268,7 @@ class FGraph:
         parent = {root: None}
         tree_edges = set()
         queue = [root]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
+        for v in queue:  # grows while it is read
             for e in sorted(self._out[v] | self._in[v]):
                 o, t, _ = self.edges[e]
                 if o == v and t not in parent:
@@ -344,8 +317,7 @@ class FGraph:
 
     def free_basis(self, root: Optional[int] = None) -> tuple:
         """Labels of the spanning-tree basis loops at root (default base)."""
-        if root is None:
-            root = self.base
+        root = self.base if root is None else root
         if root is None:
             raise ValueError("no root given and graph has no base")
         return self.basis_data(root)[3]
@@ -409,6 +381,11 @@ def is_alphabet_bouquet(g: FGraph, m: int) -> bool:
 # The move record
 
 
+def _symbols(data) -> dict:
+    """Each non-tree edge of ``basis_data`` output -> its 1-based basis symbol."""
+    return {e: j + 1 for j, e in enumerate(data[1])}
+
+
 def _crossings(index: dict, steps: Sequence[tuple]) -> Word:
     """A root-closed walk in basis symbols: its non-tree crossings, reduced.
 
@@ -430,27 +407,25 @@ def _conjugate(w: Word, c: Word) -> Word:
 
 
 def _record(kind: str, g: FGraph, pre, lift_post, lift_pre, rank_change: int, *,
-            detail: dict, conjugator: Word = ()) -> tuple[MoveRecord, tuple]:
-    """Certify a move that has just mutated ``g`` and build its record.
+            detail: dict, conjugator: Word = ()) -> MoveRecord:
+    """Certify a move or phase that has just mutated ``g``; build its record.
 
-    ``pre`` is the pre-move ``basis_data`` at the old base.  ``lift_post``
-    maps the steps of a post-move basis loop to a walk from the old base
-    in the pre-move graph, ``lift_pre`` the steps of a pre-move basis loop
-    to a walk from the new base in the post-move graph.  Only the walks'
-    non-tree crossings are read, so their tree steps may use edges the
-    move removed.  The rank (the non-tree edge count; the BFS behind
-    ``basis_data`` proves the graph connected) must change by exactly
-    ``rank_change``, and Fold/R witnesses must hold in the free group up
-    to conjugation by ``conjugator``; a failure raises RuntimeError.
-    Returns the record and the post-move basis data.
+    ``pre`` is the pre-move ``basis_data`` at the old base.
+    ``lift_post(steps, index)`` gives the reduced word, over the pre-move
+    basis symbols ``index`` (edge -> symbol), of a post-move basis loop
+    with these steps; ``lift_pre(steps, index)`` gives the word of a
+    pre-move basis loop over the post-move symbols.  The rank (the
+    non-tree edge count; the BFS behind ``basis_data`` proves the graph
+    connected) must change by exactly ``rank_change``, and Fold/R
+    witnesses must hold in the free group up to conjugation by
+    ``conjugator``; a failure raises RuntimeError.
     """
     post = g.basis_data(g.base)
     _, pre_nontree, pre_loops, pre_labels = pre
     _, post_nontree, post_loops, post_labels = post
-    pre_index = {e: j + 1 for j, e in enumerate(pre_nontree)}
-    post_index = {e: j + 1 for j, e in enumerate(post_nontree)}
-    post_in_pre = tuple(_crossings(pre_index, lift_post(lp.steps)) for lp in post_loops)
-    pre_in_post = tuple(_crossings(post_index, lift_pre(lp.steps)) for lp in pre_loops)
+    pre_index, post_index = _symbols(pre), _symbols(post)
+    post_in_pre = tuple(lift_post(lp.steps, pre_index) for lp in post_loops)
+    pre_in_post = tuple(lift_pre(lp.steps, post_index) for lp in pre_loops)
 
     change = len(post_nontree) - len(pre_nontree)
     if change != rank_change:
@@ -471,107 +446,125 @@ def _record(kind: str, g: FGraph, pre, lift_post, lift_pre, rank_change: int, *,
         pre_in_post=pre_in_post,
         conjugator=conjugator,
         detail=detail,
-    ), post
+    )
+
+
+def _walk_lift(walk_of):
+    """The lift that reads the crossings of the walk ``walk_of(loop steps)``."""
+    return lambda steps, index: _crossings(index, walk_of(steps))
 
 
 # ---------------------------------------------------------------------------
 # Folding
 
 
-def _find_conflict(g: FGraph):
-    """First foldable pair: lowest vertex, outgoing before incoming,
-    lowest label, two lowest edge ids."""
-    for v in sorted(g.vertices):
-        for side in (g._out, g._in):
-            by_label: dict[int, list[int]] = {}
-            for e in side[v]:
-                by_label.setdefault(g.edges[e][2], []).append(e)
-            for lbl in sorted(by_label):
-                if len(by_label[lbl]) >= 2:
-                    es = sorted(by_label[lbl])
-                    return v, side is g._out, es[0], es[1]
-    return None
+def _conflict(g: FGraph, v: int):
+    """(outgoing, e1, e2) for same-label edges e1 < e2 at v, or None.
 
-
-def _lift_fold(pre_ends: dict, base_pre: int, steps: Sequence[tuple], e1: int, e2: int,
-               outgoing: bool) -> tuple:
-    """Lift a post-fold walk from the base to the pre-fold graph.
-
-    Steps map back one-to-one except that the surviving edge ``e1`` also
-    stands for the folded-away ``e2``; whenever endpoints jump across the
-    merged far-vertex pair, the freely-trivial connector through the fold
-    site is inserted.  ``pre_ends`` maps edge -> (o, t) pre endpoints.
+    Outgoing edges first; e2 is the lowest edge repeating a label, e1
+    the lowest edge with that label.
     """
-    far = 1 if outgoing else 0
-    far1, far2 = pre_ends[e1][far], pre_ends[e2][far]
-    across = ((e1, -1), (e2, 1)) if outgoing else ((e1, 1), (e2, -1))  # far1 -> far2
-
-    def connector(a, b):
-        if a == b:
-            return ()
-        if {a, b} != {far1, far2}:
-            return None
-        return across if a == far1 else reverse_steps(across)
-
-    out = []
-    cur = base_pre
-    for e, d in steps:
-        cands = (e1, e2) if e == e1 else (e,)
-        for c in cands:
-            f, to = pre_ends[c] if d > 0 else pre_ends[c][::-1]
-            if f == cur:
-                break
-        else:
-            # no candidate starts at cur: jump across the merged pair
-            for c in cands:
-                f, to = pre_ends[c] if d > 0 else pre_ends[c][::-1]
-                conn = connector(cur, f)
-                if conn is not None:
-                    out.extend(conn)
-                    break
-            else:
-                raise RuntimeError("fold lift failed to connect")
-        out.append((c, d))
-        cur = to
-    conn = connector(cur, base_pre)
-    if conn is None:
-        raise RuntimeError("fold lift failed to close")
-    return tuple(out) + conn
+    for outgoing, side in ((True, g._out[v]), (False, g._in[v])):
+        first: dict[int, int] = {}
+        for e in sorted(side):
+            e1 = first.setdefault(g.edges[e][2], e)
+            if e1 != e:
+                return outgoing, e1, e
+    return None
 
 
 def fold_all(g: FGraph) -> list[MoveRecord]:
     """Fold until no vertex has two same-label outgoing or incoming edges.
 
-    Mutates g; one MoveRecord per individual fold, each decreasing the
-    edge count by exactly one and never increasing the rank.  Fold order
-    is deterministic: lowest conflict vertex first, outgoing before
-    incoming, lowest label, lowest pair of edge ids.
+    Mutates g and returns one Fold record for the whole phase, or none
+    when g is folded already.  A fold merges the higher of two same-label
+    edges at a vertex into the lower, and their far ends into the lower
+    id.  Folding is confluent, so every vertex and edge class of the
+    folded graph survives under its lowest id in any fold order.  A
+    worklist finds the conflicts: a fold can create one only at the fold
+    vertex or at the surviving far vertex.
+
+    Each merged-away vertex keeps a *connector*: the pre-phase crossing
+    word of a freely trivial walk to it from the vertex it merged into,
+    through the fold site (e1^-1 e2).  Chained like a union-find whose
+    weights are words, the connectors lift every post-phase loop to a
+    pre-phase word; a pre-phase loop maps forward edge by edge, a
+    folded-away edge to its survivor.  The rank drops by one for each
+    fold whose far ends had already merged.
     """
     if g.base is None:
         raise ValueError("folding tracks bases; set g.base first")
-    records: list[MoveRecord] = []
     pre = g.basis_data(g.base)
-    while (hit := _find_conflict(g)) is not None:
-        v, outgoing, e1, e2 = hit
-        pre_ends = {e: (o, t) for e, (o, t, _) in g.edges.items()}
-        base_pre = g.base
-        far = 1 if outgoing else 0
-        far1, far2 = g.edges[e1][far], g.edges[e2][far]
+    index = _symbols(pre)
+    pre_ends = {e: (o, t) for e, (o, t, _) in g.edges.items()}
+    pre_base = g.base
+    up: dict[int, tuple[int, Word]] = {}  # merged-away vertex -> (merged into, connector)
+    survivor: dict[int, int] = {}  # folded-away edge -> the edge it folded into
 
-        # mutate: merge e2 into e1, far vertices together
+    def connector(v: int) -> tuple[int, Word]:
+        """(v's current vertex, crossing word of a freely trivial walk from
+        it to v), compressing the chain of merges on the way."""
+        chain = []
+        while v in up:
+            chain.append(v)
+            v = up[v][0]
+        word: Word = ()
+        for u in reversed(chain):
+            word = concat(word, up[u][1])
+            up[u] = (v, word)
+        return v, word
+
+    def cross(e: int, d: int) -> Word:
+        return (index[e] * d,) if e in index else ()
+
+    def ends(e: int, d: int) -> tuple[int, int]:
+        return pre_ends[e] if d > 0 else pre_ends[e][::-1]
+
+    folds = drops = 0
+    work = sorted(g.vertices, reverse=True)
+    while work:
+        v = work.pop()
+        hit = _conflict(g, v) if v in g.vertices else None
+        if hit is None:
+            continue
+        outgoing, e1, e2 = hit
+        d = -1 if outgoing else 1  # the step from a far end in to v
+        (b1, a1), (b2, a2) = ends(e1, d), ends(e2, d)
+        f1, w1 = connector(b1)
+        f2, w2 = connector(b2)
+        # crossing word of the freely trivial walk f1 -> b1 -> v -> b2 -> f2
+        walk = concat(w1, cross(e1, d), inverse(connector(a1)[1]),
+                      connector(a2)[1], cross(e2, -d), inverse(w2))
         g._remove_edge(e2)
-        if far1 != far2:
-            g._merge_vertices(min(far1, far2), max(far1, far2))
+        survivor[e2] = e1
+        folds += 1
+        if f1 == f2:
+            drops += 1
+        else:
+            keep, drop = min(f1, f2), max(f1, f2)
+            up[drop] = (keep, walk if keep == f1 else inverse(walk))
+            g._merge_vertices(keep, drop)
+            work.append(keep)
+        work.append(v)
+    if not folds:
+        return []
 
-        record, pre = _record(
-            "Fold", g, pre,
-            lambda steps: _lift_fold(pre_ends, base_pre, steps, e1, e2, outgoing),
-            lambda steps: tuple((e1 if e == e2 else e, d) for e, d in steps),
-            0 if far1 != far2 else -1,
-            detail={"at_vertex": v, "outgoing": outgoing, "edges": (e1, e2)},
-        )
-        records.append(record)
-    return records
+    for e in reversed(list(survivor)):  # a survivor folds away only later
+        survivor[e] = survivor.get(survivor[e], survivor[e])
+
+    def lift_post(steps, _index) -> Word:
+        pieces, cur = [], pre_base
+        for e, d in steps:
+            a, b = ends(e, d)
+            pieces += (inverse(connector(cur)[1]), connector(a)[1], cross(e, d))
+            cur = b
+        return concat(*pieces, inverse(connector(cur)[1]), connector(pre_base)[1])
+
+    def lift_pre(steps, post_index) -> Word:
+        return _crossings(post_index, [(survivor.get(e, e), d) for e, d in steps])
+
+    return [_record("Fold", g, pre, lift_post, lift_pre, -drops,
+                    detail={"moves": folds, "rank_drops": drops})]
 
 
 # ---------------------------------------------------------------------------
@@ -583,42 +576,48 @@ def relocate_base(g: FGraph, pre, walk: tuple, conjugator: Word, detail: dict):
 
     ``pre`` is the pre-move ``basis_data``; ``walk`` and ``conjugator``
     (its label) are empty when the base stayed put.  Basis loops lift by
-    going out along the walk and back: walk + loop + walk^-1.  Returns
-    the "R" record and the post-move basis data.
+    going out along the walk and back: walk + loop + walk^-1.
     """
     back = reverse_steps(walk)
     return _record("R", g, pre,
-                   lambda steps: walk + steps + back,
-                   lambda steps: back + steps + walk,
+                   _walk_lift(lambda steps: walk + steps + back),
+                   _walk_lift(lambda steps: back + steps + walk),
                    0, conjugator=conjugator, detail=detail)
 
 
 def remove_degree_one(g: FGraph) -> list[MoveRecord]:
-    """Strip degree-one vertices, lowest id first, one record per removal.
+    """Strip degree-one vertices, lowest id first, with one R record.
 
-    When the base itself is a leaf it hops across its edge and the record
-    carries the one-letter conjugator; accumulated over a hanging path
-    this is the path's label, relating old-base loops to new-base loops by
-    conjugation.
+    A heap of leaves drives the strip: removing a leaf can make only its
+    neighbour a leaf.  Whenever the base itself is a leaf it hops across
+    its edge; the hops join into one walk, whose label is the record's
+    conjugator, relating old-base loops to new-base loops by conjugation.
+    No record when there is no leaf.
     """
     if g.base is None:
         raise ValueError("degree-one removal tracks bases; set g.base first")
-    records: list[MoveRecord] = []
-    pre = None
-    while leaves := sorted(v for v in g.vertices if g.degree(v) == 1):
-        v = leaves[0]
-        pre = pre or g.basis_data(g.base)
+    leaves = [v for v in g.vertices if g.degree(v) == 1]
+    if not leaves:
+        return []
+    heapify(leaves)
+    pre = g.basis_data(g.base)
+    walk, letters, strips = [], [], 0
+    while leaves:
+        v = heappop(leaves)
+        if g.degree(v) != 1:
+            continue  # the far end of a lone edge, left isolated
         [(e, d)] = g.stubs(v)
-        walk = ((e, d),) if v == g.base else ()
-        conjugator = tuple(g.step_letter(*s) for s in walk)
-        if walk:
-            g.base = g.step_ends(e, d)[1]
+        u = g.step_ends(e, d)[1]
+        if v == g.base:
+            walk.append((e, d))
+            letters.append(g.step_letter(e, d))
+            g.base = u
         g._remove_edge(e)
         g._remove_isolated_vertex(v)
-        record, pre = relocate_base(g, pre, walk, conjugator,
-                                    {"removed_vertex": v, "removed_edge": e})
-        records.append(record)
-    return records
+        strips += 1
+        if g.degree(u) == 1:
+            heappush(leaves, u)
+    return [relocate_base(g, pre, tuple(walk), free_reduce(letters), {"moves": strips})]
 
 
 # ---------------------------------------------------------------------------
@@ -774,10 +773,11 @@ def apply_AO(g: FGraph, p1: Path, p_prime: Path, p2: Path, y: Word) -> MoveRecor
     detour = reverse_steps(p1.steps) + reverse_steps(f_steps) + reverse_steps(p2.steps)
     return _record(
         "AO", g, pre,
-        lambda steps: _replace_runs(steps, f_steps, reverse_steps(p.steps)),
-        lambda steps: _replace_runs(steps, p_prime.steps, detour),
+        _walk_lift(lambda steps: _replace_runs(steps, f_steps, reverse_steps(p.steps))),
+        _walk_lift(lambda steps: _replace_runs(steps, p_prime.steps, detour)),
         0 if y else -1,
-        detail={"removed_edges": tuple(pp_edges),
+        detail={"moves": 1,
+                "removed_edges": tuple(pp_edges),
                 "removed_vertices": removed_vertices,
                 "attached": y},
-    )[0]
+    )

@@ -106,10 +106,16 @@ def verdict_jsonable(v: IsoVerdict) -> dict:
 
 
 def verdict_from_jsonable(data: dict) -> IsoVerdict:
+    """Rebuild a verdict; ``conditional`` must be a bool (a string
+    "false" would read as True) and a malformed certificate raises
+    ValueError."""
     cert = data.get("certificate")
+    conditional = data.get("conditional", False)
+    if type(conditional) is not bool:
+        raise ValueError(f"bad conditional flag {conditional!r}")
     return IsoVerdict(
         kind=data["kind"],
         certificate=certificate_from_jsonable(cert) if cert else None,
         reason=data.get("reason"),
-        conditional=bool(data.get("conditional", False)),
+        conditional=conditional,
     )

@@ -18,11 +18,11 @@ driver wedges the tuple into a labeled graph and repeatedly simplifies:
   exactly a disqualifying readability witness for the presentation:
   verdict ``NotInClass`` with that witness attached.
 
-Every move is logged with two-way basis words so that
-:func:`verify_trace` can re-check the whole run against the group
-relation by independent rewriting, and every emitted witness is
-re-validated through the readability module's own checker before being
-returned.
+Every fold phase, strip phase, base hop and surgery is logged as one
+record with two-way basis words so that :func:`verify_trace` can
+re-check the whole run against the group relation by independent
+rewriting, and every emitted witness is re-validated through the
+readability module's own checker before being returned.
 """
 
 from __future__ import annotations
@@ -73,10 +73,11 @@ FREE_REASON = "no long relator path ⇒ label homomorphism injective"
 
 @dataclass(frozen=True)
 class NielsenTrace:
-    """Move-by-move log linking the input tuple to the terminal basis.
+    """Record-by-record log linking the input tuple to the terminal basis.
 
-    ``steps`` holds (MoveRecord, snapshot) pairs where the snapshot is
-    the free-basis labels after the move; consecutive snapshots are tied
+    ``steps`` holds (MoveRecord, snapshot) pairs, one per fold phase,
+    strip phase, base hop or surgery, where the snapshot is the
+    free-basis labels after the record; consecutive snapshots are tied
     together by the record's two-way basis words.  ``initial_arrangement``
     matches basis slots to input entries: entry ``+(i+1)`` means slot j
     starts as input word i, ``-(i+1)`` as its inverse.  ``conjugator``
@@ -314,7 +315,7 @@ def _hop_base(g: FGraph) -> Optional[MoveRecord]:
     walk = tuple(walk)
     conj = g.path_label(Path(old, walk))
     g.base = cur
-    return relocate_base(g, pre, walk, conj, {"base_hop": True, "walk": walk})[0]
+    return relocate_base(g, pre, walk, conj, {"moves": 1, "base_hop": True, "walk": walk})
 
 
 # ---------------------------------------------------------------------------
@@ -599,16 +600,34 @@ def witness_jsonable(w: C3Witness) -> dict:
     }
 
 
+def _ints(values, size: int) -> tuple:
+    """A JSON list of ``size`` true ints (never bools)."""
+    if (not isinstance(values, list) or len(values) != size
+            or any(type(x) is not int for x in values)):
+        raise ValueError(f"bad integer list {values!r}")
+    return tuple(values)
+
+
 def witness_from_jsonable(data: dict) -> C3Witness:
+    """Rebuild a witness.  A malformed document raises ValueError: edges
+    are integer triples, path steps integer pairs, words strings, and the
+    path start, relator index, sign and offset ints."""
+    try:
+        edges, path = data["edges"], data["path"]
+        steps = path["steps"]
+        numbers = [path["start"], data["relator_index"], data["sign"], data["offset"]]
+        subword, complement = data["subword"], data["complement"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad witness document: {exc!r}") from None
+    if not isinstance(edges, list) or not isinstance(steps, list):
+        raise ValueError("witness edges and path steps must be lists")
+    start, relator_index, sign, offset = _ints(numbers, 4)
     return C3Witness(
-        edges=tuple(tuple(e) for e in data["edges"]),
-        path=Path(
-            data["path"]["start"],
-            tuple(tuple(s) for s in data["path"]["steps"]),
-        ),
-        subword=parse_word(data["subword"]),
-        complement=parse_word(data["complement"]),
-        relator_index=data["relator_index"],
-        sign=data["sign"],
-        offset=data["offset"],
+        edges=tuple(_ints(e, 3) for e in edges),
+        path=Path(start, tuple(_ints(s, 2) for s in steps)),
+        subword=parse_word(subword),
+        complement=parse_word(complement),
+        relator_index=relator_index,
+        sign=sign,
+        offset=offset,
     )

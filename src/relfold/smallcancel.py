@@ -196,11 +196,14 @@ class CprimeResult:
         return self.ok
 
 
+@lru_cache(maxsize=256)
 def check_Cprime(p: Presentation, lam: Fraction) -> CprimeResult:
     """Every piece q in a symmetrized element r must have |q| < lam * |r|.
 
     On failure the result carries a witness piece of the threshold length
-    ceil(lam * |r|) together with the relator it is too long for.
+    ceil(lam * |r|) together with the relator it is too long for.  The
+    (frozen) result is memoised per (presentation, lambda): the reduction
+    driver and the Dehn guard ask again for every tuple.
     """
     lam = Fraction(lam)
     if lam <= 0:
@@ -228,13 +231,8 @@ def check_Cprime(p: Presentation, lam: Fraction) -> CprimeResult:
 # Dehn's algorithm
 
 
-@lru_cache(maxsize=256)
-def _is_c16(p: Presentation) -> bool:
-    return bool(check_Cprime(p, Fraction(1, 6)))
-
-
 def _require_c16(p: Presentation) -> None:
-    if not _is_c16(p):
+    if not check_Cprime(p, Fraction(1, 6)):
         raise ValueError("Dehn reduction requires a C'(1/6) presentation")
 
 

@@ -90,20 +90,38 @@ def substitute(w: Sequence[int], images: Sequence[Sequence[int]]) -> Word:
     """Evaluate ``w`` under letter k -> images[k-1], freely reduced.
 
     Negative letters map to the inverse image; 0 raises ``ValueError``.
+    Each image is reduced and inverted once per call.  The output, which
+    stays reduced, then loses the longest tail that the next image's
+    prefix cancels (found by bisection: a cancelling tail's suffixes
+    cancel too) and takes the rest of the image in one piece.
 
     >>> substitute((1, -2), ((1, 2), (3,)))
     (1, 2, -3)
     """
     out: list[int] = []
+    pairs: dict[int, tuple[list, list]] = {}  # symbol -> (image, inverse), reduced
     for k in w:
-        if k == 0:
-            raise ValueError("basis symbol 0 names no image")
-        img = images[k - 1] if k > 0 else inverse(images[-k - 1])
-        for x in img:
-            if out and out[-1] == -x:
-                out.pop()
+        pair = pairs.get(k)
+        if pair is None:
+            if k == 0:
+                raise ValueError("basis symbol 0 names no image")
+            img = list(concat(images[abs(k) - 1]))
+            inv = [-x for x in reversed(img)]
+            pair = pairs[k] = (img, inv) if k > 0 else (inv, img)
+        img, inv = pair
+        if not (out and img and out[-1] == -img[0]):
+            out.extend(img)
+            continue
+        n = len(img)
+        lo, hi = 1, min(n, len(out))
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if out[-mid:] == inv[n - mid:]:
+                lo = mid
             else:
-                out.append(x)
+                hi = mid - 1
+        del out[-lo:]
+        out.extend(img[lo:])
     return tuple(out)
 
 

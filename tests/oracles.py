@@ -1,6 +1,6 @@
 """Independent brute-force oracles for the tests: word enumeration, least
-rotation, and readability of short words; and the document mutator of
-the fuzz tests.
+rotation, readability of short words, and one-move-at-a-time folding and
+stripping; and the document mutator of the fuzz tests.
 
 ``oracle_is_readable`` does not search partial walks the way
 :func:`relfold.readability.is_readable` does.  A path spelling the word
@@ -160,6 +160,53 @@ def oracle_is_readable(query: ReadabilityQuery) -> bool:
         and (not query.require_low_degree or mindeg < 2 * query.m)
         for e, rank, mindeg in _ORACLE_CACHE[canon]
     )
+
+
+def _first_conflict(g):
+    """First foldable pair: lowest vertex, outgoing before incoming,
+    lowest label, two lowest edge ids."""
+    for v in sorted(g.vertices):
+        for side in (g._out, g._in):
+            by_label: dict[int, list[int]] = {}
+            for e in side[v]:
+                by_label.setdefault(g.edges[e][2], []).append(e)
+            for lbl in sorted(by_label):
+                if len(by_label[lbl]) >= 2:
+                    es = sorted(by_label[lbl])
+                    return side is g._out, es[0], es[1]
+    return None
+
+
+def oracle_fold(g) -> int:
+    """Fold ``g`` one pair at a time, rescanning from the lowest vertex
+    after every fold; the reference graph for
+    :func:`relfold.fgraph.fold_all`.  Returns the number of folds."""
+    folds = 0
+    while (hit := _first_conflict(g)) is not None:
+        outgoing, e1, e2 = hit
+        far = 1 if outgoing else 0
+        far1, far2 = g.edges[e1][far], g.edges[e2][far]
+        g._remove_edge(e2)
+        if far1 != far2:
+            g._merge_vertices(min(far1, far2), max(far1, far2))
+        folds += 1
+    return folds
+
+
+def oracle_strip(g) -> list[int]:
+    """Remove the lowest degree-one vertex until none is left, hopping a
+    leaf base across its edge; the reference graph for
+    :func:`relfold.fgraph.remove_degree_one`.  Returns the hop letters."""
+    letters = []
+    while leaves := sorted(v for v in g.vertices if g.degree(v) == 1):
+        v = leaves[0]
+        [(e, d)] = g.stubs(v)
+        if v == g.base:
+            letters.append(g.step_letter(e, d))
+            g.base = g.step_ends(e, d)[1]
+        g._remove_edge(e)
+        g._remove_isolated_vertex(v)
+    return letters
 
 
 FUZZ_VALUES = (None, True, 1.5, "x", "1", "", [], {}, [0], 0, -1, 3, 10**6, -(10**6))

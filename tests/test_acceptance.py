@@ -291,6 +291,50 @@ def test_criterion_5_nielsen_driver_desk_scale():
     report(5, "tuple reduction at desk scale", t0, 600)
 
 
+def grown_scrambled_tuple(rng, m, target, conj=8):
+    """A free basis of total length about ``target``: elementary Nielsen
+    moves on (a_1..a_m) until the conjugated entries reach ``target``
+    letters, skipping any move that overshoots it by more than a tenth."""
+    c = free_reduce([rng.choice([1, -1, 2, -2]) for _ in range(conj)])
+
+    def conjugated(entries):
+        return tuple(free_reduce(concat(c, w, inverse(c))) for w in entries)
+
+    entries = [(i,) for i in range(1, m + 1)]
+    while sum(map(len, conjugated(entries))) < target:
+        i, j = rng.sample(range(m), 2)
+        other = entries[j] if rng.random() < 0.5 else inverse(entries[j])
+        pair = (entries[i], other) if rng.random() < 0.5 else (other, entries[i])
+        trial = entries[:i] + [free_reduce(concat(*pair))] + entries[i + 1:]
+        if sum(map(len, conjugated(trial))) <= 1.1 * target:
+            entries = trial
+    return conjugated(entries)
+
+
+def test_criterion_5_nielsen_driver_at_2600_letters():
+    # One Fold record per fold phase keeps both the reduction and the
+    # trace linear-ish: per-fold records took 17.4 s + 5.9 s here, with a
+    # 5.2 MB trace.
+    params = default_params(2)
+    rng = random.Random(SEED + 5)
+    while True:
+        r = random_cyclically_reduced(2, 1000, rng)
+        if is_proper_power(r):
+            continue
+        p = Presentation(A2, (r,))
+        if check_Cprime(p, params.lam).ok:
+            break
+    tpl = grown_scrambled_tuple(rng, 2, 2600)
+    assert 2600 <= sum(map(len, tpl)) <= 2860
+    t0 = time.monotonic()
+    verdict = reduce_tuple(tpl, p, params)
+    assert verdict.kind == WHOLE_GROUP
+    assert verify_trace(verdict.trace, p)
+    size = len(json.dumps(nielsen.trace_jsonable(verdict.trace)))
+    assert size < 100_000, size
+    report(5, f"reduce + verify at {sum(map(len, tpl))} letters, {size} B trace", t0, 10)
+
+
 def test_criterion_6_driver_self_certification():
     t0 = time.monotonic()
     params = default_params(2)

@@ -7,7 +7,11 @@ import random
 import subprocess
 import sys
 
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relfold.fgraph import (
     FGraph,
@@ -20,6 +24,7 @@ from relfold.fgraph import (
     remove_degree_one,
 )
 from relfold.words import concat, free_reduce, inverse, substitute
+from oracles import oracle_fold, oracle_strip
 
 
 def assert_free_witnesses(rec):
@@ -149,14 +154,14 @@ class TestFolding:
 
     def test_fold_duplicate_word(self):
         g = bouquet([(1, 2), (1, 2)])
-        records = fold_all(g)
-        assert len(records) == 2
+        [rec] = fold_all(g)
+        assert rec.kind == "Fold"
+        assert rec.detail == {"moves": 2, "rank_drops": 1}
         assert g.num_edges() == 2
         assert g.num_vertices() == 2
         assert g.rank() == 1
         assert g.free_basis() == ((1, 2),)
-        for rec in records:
-            assert_free_witnesses(rec)
+        assert_free_witnesses(rec)
 
     def test_fold_wedge_generates_whole_group(self):
         # <ab, b> = <a, b>: folding reaches the alphabet bouquet
@@ -167,10 +172,12 @@ class TestFolding:
         assert g.free_basis() == ((1,), (2,))
 
     def test_fold_decrements_edges_by_one(self):
+        # one phase record; each of its folds removes exactly one edge
         g = bouquet([(1, 2, 1), (1, 2)])
         e0 = g.num_edges()
-        records = fold_all(g)
-        assert g.num_edges() == e0 - len(records)
+        [rec] = fold_all(g)
+        assert rec.detail["moves"] > 1
+        assert g.num_edges() == e0 - rec.detail["moves"]
         assert g.is_folded()
 
     def test_fold_requires_base(self):
@@ -218,18 +225,75 @@ class TestFolding:
                 assert_free_witnesses(rec)
 
 
+@st.composite
+def bouquet_words(draw):
+    """One to three nontrivial reduced words over a, b, c; with a
+    product of two of them appended half the time, so the bouquet's rank
+    drops on folding."""
+    letters = st.sampled_from([1, -1, 2, -2, 3, -3])
+    word = st.lists(letters, min_size=1, max_size=8).map(free_reduce).filter(bool)
+    ws = draw(st.lists(word, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, len(ws) - 1)), draw(st.integers(0, len(ws) - 1))
+        product = concat(ws[i], ws[j] if draw(st.booleans()) else inverse(ws[j]))
+        if product:
+            ws.append(product)
+    return ws
+
+
+class TestPhases:
+    """One record per fold phase and per strip phase, checked against the
+    one-move-at-a-time oracles of ``tests/oracles.py``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bouquet_words())
+    def test_phase_graphs_match_pairwise_oracle(self, ws):
+        g, h = bouquet(ws), bouquet(ws)
+        rank = g.rank()
+        records = fold_all(g)
+        folds = oracle_fold(h)
+        assert g.dump() == h.dump()
+        assert len(records) == (1 if folds else 0)
+        if folds:
+            assert records[0].detail["moves"] == folds
+            assert records[0].detail["rank_drops"] == rank - g.rank()
+        strips = remove_degree_one(g)
+        hops = oracle_strip(h)
+        assert g.dump() == h.dump()
+        assert len(strips) <= 1
+        if strips:
+            assert strips[0].conjugator == free_reduce(hops)
+        for rec in records + strips:
+            assert_free_witnesses(rec)
+
+    def test_long_hanging_path_strips_in_one_record(self):
+        # a 2000-edge path from the base to a loop: the base walks the
+        # whole path, so the conjugator is the path label
+        n = 2000
+        path = [(i, i + 1, 1 + i % 2) for i in range(n)]
+        g = FGraph.from_edges(path + [(n, n, 3)], base=0)
+        t0 = time.perf_counter()
+        [rec] = remove_degree_one(g)
+        elapsed = time.perf_counter() - t0
+        assert rec.conjugator == tuple(1 + i % 2 for i in range(n))
+        assert rec.detail["moves"] == n
+        assert g.vertices == {n} and g.base == n
+        assert g.free_basis() == ((3,),)
+        assert_free_witnesses(rec)
+        assert elapsed < 0.5, elapsed
+
+
 class TestDegreeOneRemoval:
     def test_strip_hanging_path_moving_base(self):
         # path 0 -a-> 1 -b-> 2 with base at 0: base hops twice, conjugator ab
         g = FGraph.from_edges([(0, 1, 1), (1, 2, 2)], base=0)
-        records = remove_degree_one(g)
-        assert len(records) == 2
-        assert g.num_vertices() == 1
+        [rec] = remove_degree_one(g)
+        assert rec.kind == "R"
+        assert rec.detail["moves"] == 2
+        assert g.vertices == {2} and g.base == 2
         assert g.num_edges() == 0
-        assert records[0].conjugator == (1,)
-        assert records[1].conjugator == (2,)
-        for rec in records:
-            assert_free_witnesses(rec)
+        assert rec.conjugator == (1, 2)
+        assert_free_witnesses(rec)
 
     def test_strip_hanging_edge_keeping_base(self):
         g = FGraph.from_edges([(0, 0, 1), (0, 1, 2)], base=0)
@@ -404,7 +468,7 @@ class TestAO:
 # Feeds the shared move-record routine correct lifts, a lift that yields a
 # wrong basis word, and a wrong rank change; collects what each raises.
 POSTCHECK_PROBE = """
-from relfold.fgraph import _record, bouquet
+from relfold.fgraph import _record, _walk_lift, bouquet
 
 
 def postcheck_errors():
@@ -412,8 +476,8 @@ def postcheck_errors():
     for lift_post, rank_change in ((lambda s: s, 0), (lambda s: (), 0), (lambda s: s, 1)):
         g = bouquet([(1,), (2,)])
         try:
-            _record("Fold", g, g.basis_data(g.base), lift_post, lambda s: s,
-                    rank_change, detail={})
+            _record("Fold", g, g.basis_data(g.base), _walk_lift(lift_post),
+                    _walk_lift(lambda s: s), rank_change, detail={})
             out.append(None)
         except RuntimeError as exc:
             out.append(str(exc))

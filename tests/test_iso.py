@@ -215,6 +215,13 @@ class TestSerialization:
         data = json.loads(json.dumps(verdict_jsonable(v), sort_keys=True))
         assert verdict_from_jsonable(data) == v
 
+    @pytest.mark.parametrize("flag", ["false", 0, 1, None, [True]])
+    def test_decoder_rejects_non_bool_conditional(self, flag):
+        data = {"kind": NOT_ISOMORPHIC, "conditional": flag, "reason": "x",
+                "certificate": None}
+        with pytest.raises(ValueError):
+            verdict_from_jsonable(data)
+
     def test_serialization_stable(self):
         r = minimal_relator(11)
         v = decide_isomorphic(one_relator(r), one_relator(r), PARAMS,

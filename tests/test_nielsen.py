@@ -43,6 +43,7 @@ from relfold.words import (
     random_cyclically_reduced,
     substitute,
 )
+from oracles import mutate_document
 
 A2 = Alphabet(2)
 PARAMS = ClassParams(Fraction(1, 33), Fraction(1, 1), 2)
@@ -403,6 +404,46 @@ class TestWitness:
         data = json.loads(json.dumps(witness_jsonable(w), sort_keys=True))
         assert witness_from_jsonable(data) == w
 
+    @pytest.mark.parametrize("path, value", [
+        (("edges", 0, 2), "1"),
+        (("edges", 0), [0, 1]),
+        (("path", "start"), "0"),
+        (("path", "steps", 0, 1), 1.0),
+        (("relator_index",), "q"),
+        (("sign",), 2.5),
+        (("offset",), None),
+        (("offset",), True),
+    ])
+    def test_witness_decoder_rejects_wrong_types(self, path, value):
+        g, p, params = self.wound_cycle()
+        lrp = find_long_relator_path(g, p, params.lam)
+        doc = witness_jsonable(nielsen._fire_or_witness(g, lrp, p, params))
+        doc = json.loads(json.dumps(doc))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ValueError):
+            witness_from_jsonable(doc)
+
+    def test_fuzzed_witness_never_crashes(self):
+        g, p, params = self.wound_cycle()
+        lrp = find_long_relator_path(g, p, params.lam)
+        original = json.dumps(witness_jsonable(nielsen._fire_or_witness(g, lrp, p, params)))
+        rng = random.Random(5152)
+        for run in range(300):
+            doc = json.loads(original)
+            mutations = mutate_document(doc, rng)
+            try:
+                w = witness_from_jsonable(doc)
+            except ValueError:
+                continue
+            try:
+                verdict = verify_witness(w, p, params)
+            except Exception as exc:
+                pytest.fail(f"run {run} {mutations}: {exc!r}")
+            assert verdict in (True, False), (run, mutations)
+
 
 class TestVerifyTrace:
     def test_requires_small_cancellation(self):
@@ -499,6 +540,7 @@ class TestTraceSerialization:
 
 
 PINNED = pathlib.Path(__file__).with_name("nielsen_pinned.json")
+PHASE_PINNED = pathlib.Path(__file__).with_name("nielsen_phase_pinned.json")
 PARAMS3 = ClassParams(Fraction(1, 48), Fraction(1, 1), 3)
 
 
@@ -549,9 +591,13 @@ def pinned_record(name, p, params, tpl):
 
 class TestPinnedTraces:
     """``nielsen_pinned.json`` holds what the reduction driver gave on
-    :func:`pinned_cases` at commit 0d381fe; records, snapshots and
-    payloads must stay the same byte for byte.  Regenerate only on
-    purpose, with ``[pinned_record(*c) for c in pinned_cases()]``."""
+    :func:`pinned_cases` at commit 0d381fe, one record per elementary
+    move; ``nielsen_phase_pinned.json`` holds the same cases with one
+    record per fold phase and per strip phase.  Both stay as recorded:
+    the old per-move traces must still verify, and the reductions must
+    keep their endpoints and CertifiedFree payloads.  Regenerate the
+    phase file only on purpose, with ``[pinned_record(*c) for c in
+    pinned_cases()]``."""
 
     def test_outputs_match_recording(self):
         recorded = json.loads(PINNED.read_text())
@@ -559,4 +605,24 @@ class TestPinnedTraces:
         assert [r["case"] for r in recorded] == [c[0] for c in cases]
         assert {r["kind"] for r in recorded} == {WHOLE_GROUP, CERTIFIED_FREE}
         for rec, case in zip(recorded, cases):
-            assert pinned_record(*case) == rec, rec["case"]
+            now = pinned_record(*case)
+            assert now["kind"] == rec["kind"], rec["case"]
+            if rec["kind"] != WHOLE_GROUP:
+                assert now == rec, rec["case"]
+                continue
+            old = rec["document"]
+            assert verify_trace(trace_from_jsonable(old), case[1]), rec["case"]
+            for key in ("initial_tuple", "initial_arrangement", "final_tuple", "conjugator"):
+                assert now["document"][key] == old[key], (rec["case"], key)
+
+    def test_phase_outputs_match_recording(self):
+        recorded = json.loads(PHASE_PINNED.read_text())
+        cases = pinned_cases()
+        assert recorded == [pinned_record(*c) for c in cases]
+        per_move = json.loads(PINNED.read_text())
+        for rec, old, (_, p, _, _) in zip(recorded, per_move, cases):
+            if rec["kind"] == WHOLE_GROUP:
+                assert verify_trace(trace_from_jsonable(rec["document"]), p), rec["case"]
+                kinds = [step["kind"] for step in rec["document"]["steps"]]
+                assert len(kinds) < len(old["document"]["steps"]), rec["case"]
+                assert ["Fold", "Fold"] not in [kinds[i:i + 2] for i in range(len(kinds))]

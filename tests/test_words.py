@@ -91,6 +91,16 @@ class TestReduction:
                 substitute(u, images), substitute(v, images))
             assert substitute(inverse(u), images) == inverse(substitute(u, images))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=40),
+           st.lists(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12),
+                    min_size=3, max_size=3))
+    def test_substitute_matches_letter_by_letter_reduction(self, w, images):
+        # unreduced words and images included: the result is the free
+        # reduction of the plain concatenation of the images
+        expected = concat(*(images[k - 1] if k > 0 else inverse(images[-k - 1]) for k in w))
+        assert substitute(w, images) == expected
+
     def test_concat_associative(self):
         rng = random.Random(102)
         for _ in range(200):
