@@ -9,7 +9,7 @@ The module provides ``bouquet`` (a wedge of loops spelling given words),
 ``fold_all`` (Stallings folding), ``remove_degree_one`` (stripping hanging
 trees; a base on one walks off it), ``relocate_base``, ``apply_AO``
 (attach a short path with an equal-in-G label, then remove a long
-subpath), spanning-tree bases, maximal arcs and word tracing.
+subpath), spanning-tree bases, the maximal-arc owner map and word tracing.
 
 The graph changes by three kinds of record: Fold (a whole folding
 phase), R (a whole strip phase, or one base move) and AO (one surgery);
@@ -25,8 +25,10 @@ phase joins the lifted edges of a loop with *connector* words, one per
 merged-away vertex (see ``fold_all``).
 
 One routine, ``_record``, builds every record: it reads both witness
-directions through the caller's lifts, and checks the rank change and,
-for Fold/R, the witnesses by free reduction.
+directions through the caller's lifts and checks the rank change.
+``witnesses_hold`` checks the witnesses, freely for Fold/R in
+``_record`` and again in ``nielsen.verify_trace``, which also checks AO
+records in the presented group.
 """
 
 from __future__ import annotations
@@ -264,7 +266,7 @@ class FGraph:
         gives the tree step pv -> v, and parent[root] = None.
         """
         if root not in self.vertices:
-            raise ValueError(f"root {root!r} is not a vertex")
+            raise ValueError(f"base {root!r} is not a vertex")
         parent = {root: None}
         tree_edges = set()
         queue = [root]
@@ -292,35 +294,26 @@ class FGraph:
             v = pv
         return tuple(reversed(rev))
 
-    def basis_data(self, root: int):
-        """Spanning tree plus basis loops at root.
+    def basis_data(self):
+        """Spanning tree plus basis loops at the base.
 
         Returns (parent, nontree, loops, labels): nontree is the non-tree
         edge list sorted by (label, id) -- this order makes the basis of
         the alphabet bouquet come out as (a_1, ..., a_m) literally --
         loops[j] is the Path for nontree[j], labels[j] its reduced label.
         """
-        parent, tree_edges = self._bfs_tree(root)
+        root = self.base
+        parent, tree_edges = self._bfs_tree(root)  # no base: ValueError
         nontree = sorted((e for e in self.edges if e not in tree_edges),
                          key=lambda e: (self.edges[e][2], e))
-        loops = []
-        labels = []
-        for e in nontree:
-            o, t, _ = self.edges[e]
-            steps = (self._tree_path_steps(parent, o)
-                     + ((e, 1),)
-                     + reverse_steps(self._tree_path_steps(parent, t)))
-            p = Path(root, steps)
-            loops.append(p)
-            labels.append(self.path_label(p))
-        return parent, nontree, tuple(loops), tuple(labels)
+        loops = tuple(Path(root, self._tree_path_steps(parent, self.edges[e][0]) + ((e, 1),)
+                           + reverse_steps(self._tree_path_steps(parent, self.edges[e][1])))
+                      for e in nontree)
+        return parent, nontree, loops, tuple(self.path_label(p) for p in loops)
 
-    def free_basis(self, root: Optional[int] = None) -> tuple:
-        """Labels of the spanning-tree basis loops at root (default base)."""
-        root = self.base if root is None else root
-        if root is None:
-            raise ValueError("no root given and graph has no base")
-        return self.basis_data(root)[3]
+    def free_basis(self) -> tuple:
+        """Labels of the spanning-tree basis loops at the base."""
+        return self.basis_data()[3]
 
     # -- tracing -------------------------------------------------------------
 
@@ -401,9 +394,27 @@ def _crossings(index: dict, steps: Sequence[tuple]) -> Word:
     return free_reduce(out)
 
 
-def _conjugate(w: Word, c: Word) -> Word:
-    """c^-1 w c, freely reduced (``w`` is reduced already)."""
-    return free_reduce(concat(inverse(c), w, c)) if c else w
+def freely_equal(u: Sequence[int], v: Sequence[int]) -> bool:
+    """Whether two words are equal in the free group."""
+    return concat(u, inverse(v)) == ()
+
+
+def witnesses_hold(rec: MoveRecord, equal) -> bool:
+    """Whether both witness directions of ``rec``, conjugated as in
+    ``MoveRecord``, hold under the word equality ``equal(u, v)``.  A
+    witness count off its basis size or a zero or out-of-range basis
+    symbol gives False."""
+    c, c_inv = rec.conjugator, inverse(rec.conjugator)
+    pre, post = rec.pre_basis, rec.post_basis
+    if len(rec.post_in_pre) != len(post) or len(rec.pre_in_post) != len(pre):
+        return False
+    try:
+        return (all(equal(post[j], concat(c_inv, substitute(u, pre), c))
+                    for j, u in enumerate(rec.post_in_pre))
+                and all(equal(pre[i], concat(c, substitute(u, post), c_inv))
+                        for i, u in enumerate(rec.pre_in_post)))
+    except (IndexError, ValueError):
+        return False
 
 
 def _record(kind: str, g: FGraph, pre, lift_post, lift_pre, rank_change: int, *,
@@ -417,36 +428,27 @@ def _record(kind: str, g: FGraph, pre, lift_post, lift_pre, rank_change: int, *,
     pre-move basis loop over the post-move symbols.  The rank (the
     non-tree edge count; the BFS behind ``basis_data`` proves the graph
     connected) must change by exactly ``rank_change``, and Fold/R
-    witnesses must hold in the free group up to conjugation by
-    ``conjugator``; a failure raises RuntimeError.
+    witnesses must hold freely; a failure raises RuntimeError.
     """
-    post = g.basis_data(g.base)
+    post = g.basis_data()
     _, pre_nontree, pre_loops, pre_labels = pre
     _, post_nontree, post_loops, post_labels = post
     pre_index, post_index = _symbols(pre), _symbols(post)
-    post_in_pre = tuple(lift_post(lp.steps, pre_index) for lp in post_loops)
-    pre_in_post = tuple(lift_pre(lp.steps, post_index) for lp in pre_loops)
-
-    change = len(post_nontree) - len(pre_nontree)
-    if change != rank_change:
-        raise RuntimeError(f"{kind} changed the rank by {change}, not {rank_change}")
-    if kind in ("Fold", "R"):
-        inv = inverse(conjugator)
-        holds = (all(_conjugate(substitute(u, pre_labels), conjugator) == post_labels[j]
-                     for j, u in enumerate(post_in_pre))
-                 and all(_conjugate(substitute(u, post_labels), inv) == pre_labels[i]
-                         for i, u in enumerate(pre_in_post)))
-        if not holds:
-            raise RuntimeError(f"{kind} basis witness fails in the free group")
-    return MoveRecord(
+    rec = MoveRecord(
         kind=kind,
         pre_basis=pre_labels,
         post_basis=post_labels,
-        post_in_pre=post_in_pre,
-        pre_in_post=pre_in_post,
+        post_in_pre=tuple(lift_post(lp.steps, pre_index) for lp in post_loops),
+        pre_in_post=tuple(lift_pre(lp.steps, post_index) for lp in pre_loops),
         conjugator=conjugator,
         detail=detail,
     )
+    change = len(post_nontree) - len(pre_nontree)
+    if change != rank_change:
+        raise RuntimeError(f"{kind} changed the rank by {change}, not {rank_change}")
+    if kind in ("Fold", "R") and not witnesses_hold(rec, freely_equal):
+        raise RuntimeError(f"{kind} basis witness fails in the free group")
+    return rec
 
 
 def _walk_lift(walk_of):
@@ -494,7 +496,7 @@ def fold_all(g: FGraph) -> list[MoveRecord]:
     """
     if g.base is None:
         raise ValueError("folding tracks bases; set g.base first")
-    pre = g.basis_data(g.base)
+    pre = g.basis_data()
     index = _symbols(pre)
     pre_ends = {e: (o, t) for e, (o, t, _) in g.edges.items()}
     pre_base = g.base
@@ -600,7 +602,7 @@ def remove_degree_one(g: FGraph) -> list[MoveRecord]:
     if not leaves:
         return []
     heapify(leaves)
-    pre = g.basis_data(g.base)
+    pre = g.basis_data()
     walk, letters, strips = [], [], 0
     while leaves:
         v = heappop(leaves)
@@ -624,63 +626,28 @@ def remove_degree_one(g: FGraph) -> list[MoveRecord]:
 # Arc decomposition
 
 
-@dataclass(frozen=True)
-class Arc:
-    """A maximal path whose interior vertices have degree two."""
+def arc_owner(g: FGraph) -> dict:
+    """Edge id -> a representative edge of the maximal arc containing it.
 
-    index: int
-    steps: tuple  # (edge, dir) steps from one endpoint to the other
-    closed: bool
-
-
-def maximal_arcs(g: FGraph) -> list[Arc]:
-    """Partition the edges into maximal arcs.
-
-    Requires a connected graph with no degree-one vertices.  A lone cycle
-    (every vertex degree two) is returned as a single closed arc.
+    Two edges share a maximal arc exactly when degree-two vertices join
+    them, so a union-find joins the two edges at each degree-two vertex;
+    a lone cycle is one arc.  Requires no degree-one vertices.
     """
     if any(g.degree(v) == 1 for v in g.vertices):
         raise ValueError("arc decomposition requires no degree-one vertices")
-    used: set[int] = set()
-    arcs: list[Arc] = []
+    parent = {e: e for e in g.edges}
 
-    def walk(v, e, d):
-        steps = [(e, d)]
-        used.add(e)
-        cur = g.step_ends(e, d)[1]
-        while g.degree(cur) == 2 and cur != v:
-            nxt = next((s for s in g.stubs(cur) if s[0] not in used), None)
-            if nxt is None:
-                break
-            steps.append(nxt)
-            used.add(nxt[0])
-            cur = g.step_ends(nxt[0], nxt[1])[1]
-        return steps, cur
+    def find(e: int) -> int:
+        while parent[e] != e:
+            parent[e] = parent[parent[e]]
+            e = parent[e]
+        return e
 
-    junctions = sorted(v for v in g.vertices if g.degree(v) != 2)
-    for v in junctions:
-        for e, d in g.stubs(v):
-            if e in used:
-                continue
-            steps, end = walk(v, e, d)
-            arcs.append(Arc(len(arcs), tuple(steps), closed=(end == v)))
-    # leftover lone cycles (all degree two)
-    for v in sorted(g.vertices):
-        for e, d in g.stubs(v):
-            if e in used:
-                continue
-            steps, end = walk(v, e, d)
-            if end != v:
-                raise RuntimeError("a lone cycle did not close up")
-            arcs.append(Arc(len(arcs), tuple(steps), closed=True))
-    if sum(len(a.steps) for a in arcs) != len(g.edges):
-        raise RuntimeError("maximal arcs do not cover every edge once")
-    return arcs
-
-
-def arc_owner(g: FGraph) -> dict:
-    """Edge id -> index of the maximal arc containing it."""
-    return {e: a.index for a in maximal_arcs(g) for e, _ in a.steps}
+    for v in g.vertices:
+        if g.degree(v) == 2:
+            (e1, _), (e2, _) = g.stubs(v)
+            parent[find(e1)] = find(e2)
+    return {e: find(e) for e in g.edges}
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +725,7 @@ def apply_AO(g: FGraph, p1: Path, p_prime: Path, p2: Path, y: Word) -> MoveRecor
     if g.base in interior:
         raise ValueError("removed path may not contain the base as interior")
 
-    pre = g.basis_data(g.base)
+    pre = g.basis_data()
     # attach f: t(p) -> o(p) labeled y, then remove p_prime and the
     # interior vertices it leaves isolated
     f_steps = g.add_path(end, start, y)

@@ -20,9 +20,10 @@ driver wedges the tuple into a labeled graph and repeatedly simplifies:
 
 Every fold phase, strip phase, base hop and surgery is logged as one
 record with two-way basis words so that :func:`verify_trace` can
-re-check the whole run against the group relation by independent
-rewriting, and every emitted witness is re-validated through the
-readability module's own checker before being returned.
+re-check the whole run independently (freely for folds, strips and
+hops, by Dehn rewriting in the group for surgeries), and every emitted
+witness is re-validated through the readability module's own checker
+before being returned.
 """
 
 from __future__ import annotations
@@ -40,9 +41,11 @@ from .fgraph import (
     arc_owner,
     bouquet,
     fold_all,
+    freely_equal,
     is_alphabet_bouquet,
     relocate_base,
     remove_degree_one,
+    witnesses_hold,
 )
 from .genericity import ClassParams, power_statuses, validate_params
 from .readability import ReadabilityQuery, witness_is_valid
@@ -61,7 +64,6 @@ from .words import (
     free_reduce,
     inverse,
     parse_word,
-    substitute,
 )
 
 WHOLE_GROUP = "WholeGroup"
@@ -217,16 +219,15 @@ def _select_window(g: FGraph, path: Path) -> Optional[tuple[int, int]]:
     """Longest surgery-eligible stretch of ``path``, as a step span.
 
     A step is eligible when its edge is used exactly once in the whole
-    path; a stretch may not cross an arc boundary, a junction vertex, or
-    the base vertex in its interior.  Returns the (start, stop) indices
-    of the longest run (ties to the earliest), or None when no step is
-    eligible.
+    path; a stretch may not have a junction vertex (so it stays inside
+    one maximal arc) or the base vertex in its interior.  Returns the
+    (start, stop) indices of the longest run (ties to the earliest), or
+    None when no step is eligible.
     """
     steps = path.steps
     if not steps:
         return None
     count = Counter(e for e, _ in steps)
-    owner = arc_owner(g)
     best: Optional[tuple[int, int]] = None
     run_start: Optional[int] = None
     prev_vertex = path.start
@@ -243,11 +244,7 @@ def _select_window(g: FGraph, path: Path) -> Optional[tuple[int, int]]:
         if count[e] != 1:
             close(k)
         else:
-            breaks = k > 0 and (
-                g.degree(prev_vertex) != 2
-                or prev_vertex == g.base
-                or owner[steps[k - 1][0]] != owner[e]
-            )
+            breaks = k > 0 and (g.degree(prev_vertex) != 2 or prev_vertex == g.base)
             if run_start is None:
                 run_start = k
             elif breaks:
@@ -303,7 +300,7 @@ def _hop_base(g: FGraph) -> Optional[MoveRecord]:
     if all(g.degree(v) == 2 for v in g.vertices):
         return None
     old = g.base
-    pre = g.basis_data(old)
+    pre = g.basis_data()
     # The graph is connected (basis_data checked) and not a lone cycle, so
     # the arc through the base ends at a junction.
     walk = [g.stubs(old)[0]]
@@ -450,13 +447,18 @@ def verify_trace(t: NielsenTrace, p: Presentation) -> bool:
     """Re-check a trace against the presented group, move by move.
 
     Every consecutive snapshot pair must be tied together by its record's
-    two-way basis words under rewriting in the group (conjugated by the
-    record's relocation word where present), the stored conjugator must
-    equal the accumulated one, and the final snapshot must literally be
-    the alphabet tuple.
+    two-way basis words (conjugated by the record's relocation word where
+    present): freely for Fold and R records, under Dehn rewriting in the
+    group for AO records.  The stored conjugator must equal the
+    accumulated one, and the final snapshot must literally be the
+    alphabet tuple.
     """
-    _require_c16(p)  # here too: a trace with no steps never reaches Dehn
+    _require_c16(p)  # first: a trace without AO records never reaches Dehn
     m = p.alphabet.m
+
+    def in_G(u, v) -> bool:
+        return is_equal_in_G(u, v, p)
+
     if 0 in t.initial_arrangement:
         return False  # 0 names no entry; [-0 - 1] would read the last one
     try:
@@ -473,27 +475,9 @@ def verify_trace(t: NielsenTrace, p: Presentation) -> bool:
             return False
         if tuple(tuple(w) for w in record.post_basis) != snapshot:
             return False
-        if len(record.post_in_pre) != len(snapshot):
+        if not witnesses_hold(record, freely_equal if record.kind in ("Fold", "R") else in_G):
             return False
-        if len(record.pre_in_post) != len(current):
-            return False
-        conj = tuple(record.conjugator)
-        try:
-            for j, u in enumerate(record.post_in_pre):
-                rhs = free_reduce(
-                    concat(inverse(conj), substitute(u, current), conj)
-                )
-                if not is_equal_in_G(snapshot[j], rhs, p):
-                    return False
-            for i, u in enumerate(record.pre_in_post):
-                rhs = free_reduce(
-                    concat(conj, substitute(u, snapshot), inverse(conj))
-                )
-                if not is_equal_in_G(current[i], rhs, p):
-                    return False
-        except (IndexError, ValueError):
-            return False
-        accumulated = free_reduce(concat(accumulated, conj))
+        accumulated = free_reduce(concat(accumulated, record.conjugator))
         current = snapshot
     if tuple(tuple(w) for w in t.final_tuple) != current:
         return False

@@ -75,41 +75,6 @@ class Presentation:
         return len(self.relators)
 
 
-@dataclass(frozen=True)
-class SymmetrizedSet:
-    """Deduplicated rotations of the relators and their inverses.
-
-    ``origins[w]`` lists the (relator index, sign, offset) family members
-    carrying the word w; distinct members may carry equal words.
-    """
-
-    elements: tuple
-    origins: dict
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, w) -> bool:
-        return tuple(w) in self.origins
-
-
-def _rotation(w: Word, k: int) -> Word:
-    return w[k:] + w[:k]
-
-
-def symmetrize(p: Presentation) -> SymmetrizedSet:
-    origins: dict[Word, list] = {}
-    for i, r in enumerate(p.relators):
-        for sign in (1, -1):
-            base = r if sign == 1 else inverse(r)
-            for k in range(len(base)):
-                w = _rotation(base, k)
-                origins.setdefault(w, []).append((i, sign, k))
-    elements = tuple(sorted(origins))
-    return SymmetrizedSet(elements=elements,
-                          origins={w: tuple(v) for w, v in origins.items()})
-
-
 # ---------------------------------------------------------------------------
 # Pieces
 
@@ -344,7 +309,7 @@ def find_long_relator_path(g: FGraph, p: Presentation,
     len_v, i, sign, offset, v0 = best
     r = p.relators[i]
     base = r if sign == 1 else inverse(r)
-    rotation = _rotation(base, offset)
+    rotation = base[offset:] + base[:offset]
     v_word, y_word = rotation[:len_v], rotation[len_v:]
     path = g.trace_word(v0, v_word)
     if path is None or g.path_label(path) != v_word:

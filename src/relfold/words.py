@@ -252,10 +252,6 @@ class Alphabet:
         if self.m < 2:
             raise ValueError("alphabet rank must be at least 2")
 
-    def letters(self) -> list[int]:
-        """Signed letters in the order a, A, b, B, ..."""
-        return signed_letters(self.m)
-
     def check_word(self, w: Sequence[int]) -> Word:
         w = tuple(w)
         for x in w:
@@ -357,11 +353,6 @@ def count_cyclically_reduced(m: int, t: int) -> int:
     for first in signed_letters(m):
         total += _completion_table(m, t, first)[1][first]
     return total
-
-
-def count_cyclically_reduced_up_to(m: int, t: int) -> int:
-    """Number of nonempty cyclically reduced words of length <= t."""
-    return sum(count_cyclically_reduced(m, k) for k in range(1, t + 1))
 
 
 def random_cyclically_reduced(m: int, t: int, rng: random.Random) -> Word:

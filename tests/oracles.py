@@ -1,6 +1,7 @@
 """Independent brute-force oracles for the tests: word enumeration, least
-rotation, readability of short words, and one-move-at-a-time folding and
-stripping; and the document mutator of the fuzz tests.
+rotation, readability of short words, one-move-at-a-time folding and
+stripping, and maximal arcs by walking; and the document mutator of the
+fuzz tests.
 
 ``oracle_is_readable`` does not search partial walks the way
 :func:`relfold.readability.is_readable` does.  A path spelling the word
@@ -207,6 +208,35 @@ def oracle_strip(g) -> list[int]:
         g._remove_edge(e)
         g._remove_isolated_vertex(v)
     return letters
+
+
+def oracle_arc_partition(g) -> set:
+    """The maximal arcs of ``g`` as a set of frozensets of edge ids, found
+    by walking out of each junction (then around each leftover lone
+    cycle) until a vertex of degree other than two; the reference for
+    :func:`relfold.fgraph.arc_owner`."""
+    used: set[int] = set()
+    arcs = set()
+
+    def walk(v, e, d):
+        arc = {e}
+        used.add(e)
+        cur = g.step_ends(e, d)[1]
+        while g.degree(cur) == 2 and cur != v:
+            nxt = next((s for s in g.stubs(cur) if s[0] not in used), None)
+            if nxt is None:
+                break
+            arc.add(nxt[0])
+            used.add(nxt[0])
+            cur = g.step_ends(*nxt)[1]
+        arcs.add(frozenset(arc))
+
+    junctions = sorted(v for v in g.vertices if g.degree(v) != 2)
+    for v in junctions + sorted(g.vertices):
+        for e, d in g.stubs(v):
+            if e not in used:
+                walk(v, e, d)
+    return arcs
 
 
 FUZZ_VALUES = (None, True, 1.5, "x", "1", "", [], {}, [0], 0, -1, 3, 10**6, -(10**6))

@@ -17,14 +17,14 @@ from relfold.fgraph import (
     FGraph,
     Path,
     apply_AO,
+    arc_owner,
     bouquet,
     fold_all,
     is_alphabet_bouquet,
-    maximal_arcs,
     remove_degree_one,
 )
-from relfold.words import concat, free_reduce, inverse, substitute
-from oracles import oracle_fold, oracle_strip
+from relfold.words import concat, free_reduce, inverse, signed_letters, substitute
+from oracles import oracle_arc_partition, oracle_fold, oracle_strip
 
 
 def assert_free_witnesses(rec):
@@ -133,7 +133,7 @@ class TestFreeBasis:
             if not ws:
                 continue
             g = bouquet(ws)
-            parent, nontree, loops, labels = g.basis_data(g.base)
+            parent, nontree, loops, labels = g.basis_data()
             assert len(labels) == g.rank()
             for p, lbl in zip(loops, labels):
                 assert p.start == g.base
@@ -329,40 +329,39 @@ class TestDegreeOneRemoval:
         assert remove_degree_one(g) == []
 
 
+def arc_groups(g):
+    """The edge sets that ``arc_owner`` puts under one owner."""
+    groups = {}
+    for e, a in arc_owner(g).items():
+        groups.setdefault(a, set()).add(e)
+    return {frozenset(s) for s in groups.values()}
+
+
+def group_sizes(g):
+    return sorted(len(s) for s in arc_groups(g))
+
+
 class TestArcs:
     def test_theta_three_open_arcs(self):
         g = FGraph.from_edges([(0, 1, 1), (0, 1, 2), (0, 1, 3)], base=0)
-        arcs = maximal_arcs(g)
-        assert len(arcs) == 3
-        assert all(not a.closed for a in arcs)
-        assert all(len(a.steps) == 1 for a in arcs)
+        assert group_sizes(g) == [1, 1, 1]
 
     def test_wedge_two_closed_arcs(self):
         g = bouquet([(1,), (2,)])
-        arcs = maximal_arcs(g)
-        assert len(arcs) == 2
-        assert all(a.closed for a in arcs)
+        assert group_sizes(g) == [1, 1]
 
     def test_dumbbell_three_arcs(self):
         g = FGraph.from_edges([(0, 0, 1), (1, 1, 1), (0, 1, 2)], base=0)
-        arcs = maximal_arcs(g)
-        assert len(arcs) == 3
-        assert sorted(a.closed for a in arcs) == [False, True, True]
+        assert group_sizes(g) == [1, 1, 1]
 
     def test_lone_cycle_single_closed_arc(self):
         g = FGraph.from_edges([(0, 1, 1), (1, 2, 1), (2, 0, 2)], base=0)
-        arcs = maximal_arcs(g)
-        assert len(arcs) == 1
-        assert arcs[0].closed
-        assert len(arcs[0].steps) == 3
+        assert group_sizes(g) == [3]
 
     def test_subdivided_wedge_arcs(self):
         # wedge of a length-3 cycle and a loop at the junction
         g = bouquet([(1, 2, 1), (2,)])
-        arcs = maximal_arcs(g)
-        assert len(arcs) == 2
-        assert all(a.closed for a in arcs)
-        assert sorted(len(a.steps) for a in arcs) == [1, 3]
+        assert group_sizes(g) == [1, 3]
 
     def test_arcs_cover_all_edges_once(self):
         rng = random.Random(202)
@@ -378,16 +377,35 @@ class TestArcs:
             remove_degree_one(g)
             if g.num_edges() == 0:
                 continue
-            arcs = maximal_arcs(g)
-            seen = []
-            for a in arcs:
-                seen.extend(e for e, _ in a.steps)
-            assert sorted(seen) == sorted(g.edges)
+            assert sorted(arc_owner(g)) == sorted(g.edges)
+            assert sum(group_sizes(g)) == g.num_edges()
 
     def test_rejects_degree_one(self):
         g = FGraph.from_edges([(0, 1, 1)], base=0)
         with pytest.raises(ValueError):
-            maximal_arcs(g)
+            arc_owner(g)
+
+    def test_matches_walk_oracle(self):
+        rng = random.Random(203)
+        graphs = 0
+        while graphs < 400:
+            m = rng.choice([2, 3])
+            ws = [free_reduce([rng.choice(signed_letters(m)) for _ in range(rng.randrange(1, 9))])
+                  for _ in range(rng.randrange(1, 4))]
+            ws = [w for w in ws if w]
+            if not ws:
+                continue
+            g = bouquet(ws)
+            fold_all(g)
+            remove_degree_one(g)
+            if g.num_edges() == 0:
+                continue
+            assert arc_groups(g) == oracle_arc_partition(g), ws
+            graphs += 1
+        for n in range(1, 40):  # lone cycles, edges in random directions
+            ends = [(i, (i + 1) % n)[::rng.choice([1, -1])] for i in range(n)]
+            g = FGraph.from_edges([(o, t, rng.randrange(1, 4)) for o, t in ends], base=0)
+            assert arc_groups(g) == oracle_arc_partition(g) == {frozenset(g.edges)}
 
 
 class TestAO:
@@ -476,7 +494,7 @@ def postcheck_errors():
     for lift_post, rank_change in ((lambda s: s, 0), (lambda s: (), 0), (lambda s: s, 1)):
         g = bouquet([(1,), (2,)])
         try:
-            _record("Fold", g, g.basis_data(g.base), _walk_lift(lift_post),
+            _record("Fold", g, g.basis_data(), _walk_lift(lift_post),
                     _walk_lift(lambda s: s), rank_change, detail={})
             out.append(None)
         except RuntimeError as exc:

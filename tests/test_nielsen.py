@@ -32,6 +32,7 @@ from relfold.smallcancel import (
     check_Cprime,
     dehn_reduce,
     find_long_relator_path,
+    is_equal_in_G,
 )
 from relfold.words import (
     Alphabet,
@@ -478,6 +479,22 @@ class TestVerifyTrace:
         assert rec.kind == "Fold" and rec.post_in_pre[0] == (1, -2)
         bad = dataclasses.replace(rec, post_in_pre=((1, 0),) + rec.post_in_pre[1:])
         steps[0] = (bad, snap)
+        assert verify_trace(v.trace, p)
+        assert not verify_trace(dataclasses.replace(v.trace, steps=tuple(steps)), p)
+
+    def test_fold_witness_must_hold_freely(self):
+        # The last record folds onto the alphabet, so its symbols read as
+        # letters: appending the relator to a witness keeps it true in G
+        # but not in the free group, where Fold records must hold.
+        p = fixture_presentation()
+        v = reduce_tuple(scrambled_tuple(random.Random(7), 2), p, PARAMS)
+        steps = list(v.trace.steps)
+        rec, snap = steps[-1]
+        assert rec.kind == "Fold" and snap == ((1,), (2,)) and rec.conjugator == ()
+        loaded = concat(rec.pre_in_post[0], p.relators[0])
+        assert is_equal_in_G(substitute(loaded, snap), rec.pre_basis[0], p)
+        assert substitute(loaded, snap) != rec.pre_basis[0]
+        steps[-1] = (dataclasses.replace(rec, pre_in_post=(loaded,) + rec.pre_in_post[1:]), snap)
         assert verify_trace(v.trace, p)
         assert not verify_trace(dataclasses.replace(v.trace, steps=tuple(steps)), p)
 

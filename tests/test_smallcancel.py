@@ -16,7 +16,6 @@ from relfold.smallcancel import (
     find_long_relator_path,
     is_equal_in_G,
     max_piece,
-    symmetrize,
 )
 from relfold.words import (
     Alphabet,
@@ -99,31 +98,6 @@ class TestEncoding:
 
     def test_order_matches_letter_order(self):
         assert encode_word((1,)) < encode_word((-1,)) < encode_word((2,))
-
-
-class TestSymmetrize:
-    def test_two_letter_relator(self):
-        s = symmetrize(Presentation(A2, ((1, 2),)))
-        assert set(s.elements) == {(1, 2), (2, 1), (-2, -1), (-1, -2)}
-        assert len(s) == 4
-
-    def test_square_relator_dedups(self):
-        s = symmetrize(Presentation(A2, ((1, 1),)))
-        assert set(s.elements) == {(1, 1), (-1, -1)}
-        assert len(s.origins[(1, 1)]) == 2  # two rotation offsets
-
-    def test_commutator(self):
-        s = symmetrize(Presentation(A2, ((1, 2, -1, -2),)))
-        assert len(s) == 8
-
-    def test_closure(self):
-        rng = random.Random(301)
-        for _ in range(20):
-            p = random_presentation(rng)
-            s = symmetrize(p)
-            for w in s.elements:
-                assert inverse(w) in s
-                assert w[1:] + w[:1] in s
 
 
 class TestPieces:
