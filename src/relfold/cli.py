@@ -211,7 +211,7 @@ def cmd_verify(args) -> int:
         raise UsageError(f"{args.trace}: not valid JSON: {exc}") from exc
     try:
         trace = nielsen.trace_from_jsonable(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"{args.trace}: not a trace document: {exc}") from exc
     valid = nielsen.verify_trace(trace, p)
     _print(_dump({"valid": valid}) if args.json else ("valid" if valid else "invalid"))
@@ -440,10 +440,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"relfold: error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"relfold: error: {exc}", file=sys.stderr)
         return EX_USAGE
 

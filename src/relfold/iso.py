@@ -106,16 +106,28 @@ def verdict_jsonable(v: IsoVerdict) -> dict:
 
 
 def verdict_from_jsonable(data: dict) -> IsoVerdict:
-    """Rebuild a verdict; ``conditional`` must be a bool (a string
-    "false" would read as True) and a malformed certificate raises
-    ValueError."""
-    cert = data.get("certificate")
+    """Rebuild a verdict; a malformed document raises ValueError.
+
+    ``kind`` must name a verdict, ``reason`` be a string or null and
+    ``conditional`` a bool (a string "false" would read as True); an
+    Isomorphic verdict needs a well-formed certificate and no other kind
+    may carry one.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"not a verdict document: {data!r}")
+    kind, reason, cert = data.get("kind"), data.get("reason"), data.get("certificate")
     conditional = data.get("conditional", False)
+    if kind not in (ISOMORPHIC, NOT_ISOMORPHIC, INAPPLICABLE):
+        raise ValueError(f"bad verdict kind {kind!r}")
+    if reason is not None and not isinstance(reason, str):
+        raise ValueError(f"bad reason {reason!r}")
     if type(conditional) is not bool:
         raise ValueError(f"bad conditional flag {conditional!r}")
+    if (kind == ISOMORPHIC) != (cert is not None):
+        raise ValueError(f"{kind} verdict with certificate {cert!r}")
     return IsoVerdict(
-        kind=data["kind"],
-        certificate=certificate_from_jsonable(cert) if cert else None,
-        reason=data.get("reason"),
+        kind=kind,
+        certificate=certificate_from_jsonable(cert) if cert is not None else None,
+        reason=reason,
         conditional=conditional,
     )

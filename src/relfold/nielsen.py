@@ -537,39 +537,41 @@ def _words(texts) -> tuple:
 def trace_from_jsonable(data: dict) -> NielsenTrace:
     """Rebuild a verifiable trace from its JSON form.
 
-    The records round-trip only what :func:`verify_trace` consumes.
-    Malformed documents raise KeyError, TypeError or ValueError: step
-    kinds must be Fold, R or AO, words strings and basis indices nonzero
-    integers.
+    The records round-trip only what :func:`verify_trace` consumes.  A
+    malformed document raises ValueError: step kinds must be Fold, R or
+    AO, words strings and basis indices nonzero integers.
     """
-    initial = _words(data["initial_tuple"])
-    arrangement = _indices(data["initial_arrangement"], len(initial))
-    previous = tuple(
-        initial[k - 1] if k > 0 else inverse(initial[-k - 1])
-        for k in arrangement
-    )
-    steps = []
-    for row in data["steps"]:
-        snapshot = _words(row["snapshot"])
-        if row["kind"] not in MOVE_KINDS:
-            raise ValueError(f"bad step kind {row['kind']!r}")
-        record = MoveRecord(
-            kind=row["kind"],
-            pre_basis=previous,
-            post_basis=snapshot,
-            post_in_pre=tuple(_indices(w) for w in row["post_in_pre"]),
-            pre_in_post=tuple(_indices(w) for w in row["pre_in_post"]),
-            conjugator=parse_word(row["conjugator"]),
+    try:
+        initial = _words(data["initial_tuple"])
+        arrangement = _indices(data["initial_arrangement"], len(initial))
+        previous = tuple(
+            initial[k - 1] if k > 0 else inverse(initial[-k - 1])
+            for k in arrangement
         )
-        steps.append((record, snapshot))
-        previous = snapshot
-    return NielsenTrace(
-        initial_tuple=initial,
-        initial_arrangement=arrangement,
-        steps=tuple(steps),
-        final_tuple=_words(data["final_tuple"]),
-        conjugator=parse_word(data["conjugator"]),
-    )
+        steps = []
+        for row in data["steps"]:
+            snapshot = _words(row["snapshot"])
+            if row["kind"] not in MOVE_KINDS:
+                raise ValueError(f"bad step kind {row['kind']!r}")
+            record = MoveRecord(
+                kind=row["kind"],
+                pre_basis=previous,
+                post_basis=snapshot,
+                post_in_pre=tuple(_indices(w) for w in row["post_in_pre"]),
+                pre_in_post=tuple(_indices(w) for w in row["pre_in_post"]),
+                conjugator=parse_word(row["conjugator"]),
+            )
+            steps.append((record, snapshot))
+            previous = snapshot
+        return NielsenTrace(
+            initial_tuple=initial,
+            initial_arrangement=arrangement,
+            steps=tuple(steps),
+            final_tuple=_words(data["final_tuple"]),
+            conjugator=parse_word(data["conjugator"]),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad trace document: {exc!r}") from None
 
 
 def witness_jsonable(w: C3Witness) -> dict:

@@ -19,11 +19,14 @@ the longest readable portion of any symmetrized element and reports it
 when it exceeds the (1 - 3 lambda) fraction of its relator.
 
 Letters are encoded as single characters (ordered a < a^-1 < b < ...)
-so windows and scans run on Python strings.
+so windows and scans run on Python strings.  Piece windows are counted
+afresh for each question: only the encoded relator sides (``_sides``) and
+the ``check_Cprime`` memo outlive a call.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -81,42 +84,26 @@ class Presentation:
 
 @lru_cache(maxsize=128)
 def _sides(p: Presentation):
-    """Per (relator, sign): (i, sign, length, doubled text) in scan order."""
-    sides = []
-    for i, r in enumerate(p.relators):
-        for sign in (1, -1):
-            base = r if sign == 1 else inverse(r)
-            text = encode_word(base)
-            sides.append((i, sign, len(base), text + text))
-    return tuple(sides)
+    """Per relator and sign (+1 first): (i, length, doubled text)."""
+    return tuple((i, len(r), 2 * encode_word(base))
+                 for i, r in enumerate(p.relators) for base in (r, inverse(r)))
 
 
-@lru_cache(maxsize=64)
-def _windows(p: Presentation, k: int):
-    """All length-k cyclic windows, as window -> tuple of family members.
+def _shared_windows(p: Presentation, k: int):
+    """Yield (relator, window) for every family member whose length-k
+    prefix is a piece, in scan order (relator, sign +1 first, offset).
 
-    Only sides whose relator has |r| - 1 >= k contribute (a piece must be
-    a proper prefix of each member carrying it).
+    Only sides longer than k count, as a piece is a proper prefix of every
+    member carrying it.  A member's own window is among those counted, so
+    another member carries it exactly when the count is above one.
     """
-    table: dict[str, list] = {}
-    for i, sign, L, doubled in _sides(p):
-        if L - 1 < k:
-            continue
-        for off in range(L):
-            table.setdefault(doubled[off:off + k], []).append((i, sign, off))
-    return {w: tuple(v) for w, v in table.items()}
-
-
-def _has_piece(p: Presentation, k: int, relator: Optional[int] = None) -> bool:
-    """Is there a piece of length k (optionally occurring in one relator)?"""
-    if k < 1:
-        return True
-    for members in _windows(p, k).values():
-        if len(members) < 2:
-            continue
-        if relator is None or any(i == relator for i, _, _ in members):
-            return True
-    return False
+    sides = [(i, [doubled[off:off + k] for off in range(L)])
+             for i, L, doubled in _sides(p) if L > k]
+    counts = Counter(w for _, windows in sides for w in windows)
+    for i, windows in sides:
+        for w in windows:
+            if counts[w] > 1:
+                yield i, w
 
 
 def _search_max(lo: int, hi: int, pred) -> int:
@@ -134,17 +121,16 @@ def _search_max(lo: int, hi: int, pred) -> int:
 
 
 def max_piece(p: Presentation) -> tuple[int, Fraction]:
-    """Exact maximum piece length and maximum |piece| / |relator| ratio."""
-    hi = max(len(r) for r in p.relators) - 1
-    length = _search_max(1, hi, lambda k: _has_piece(p, k))
-    if length <= 0:
-        return 0, Fraction(0)
-    ratio = Fraction(0)
-    for i, r in enumerate(p.relators):
-        li = _search_max(1, min(length, len(r) - 1),
-                         lambda k, i=i: _has_piece(p, k, relator=i))
-        if li >= 1:
-            ratio = max(ratio, Fraction(li, len(r)))
+    """Exact maximum piece length and maximum |piece| / |relator| ratio:
+    the longest piece overall, then the longest in each relator."""
+
+    def has_piece(k: int, relator: Optional[int] = None) -> bool:
+        return any(relator in (None, i) for i, _ in _shared_windows(p, k))
+
+    length = _search_max(1, max(len(r) for r in p.relators) - 1, has_piece)
+    ratio = max(Fraction(_search_max(1, min(length, len(r) - 1),
+                                     lambda k, i=i: has_piece(k, i)), len(r))
+                for i, r in enumerate(p.relators))
     return length, ratio
 
 
@@ -166,9 +152,10 @@ def check_Cprime(p: Presentation, lam: Fraction) -> CprimeResult:
     """Every piece q in a symmetrized element r must have |q| < lam * |r|.
 
     On failure the result carries a witness piece of the threshold length
-    ceil(lam * |r|) together with the relator it is too long for.  The
-    (frozen) result is memoised per (presentation, lambda): the reduction
-    driver and the Dehn guard ask again for every tuple.
+    ceil(lam * |r|) together with the relator it is too long for: the
+    first such window in scan order.  The (frozen) result is memoised per
+    (presentation, lambda), since the reduction driver and the Dehn guard
+    ask again for every tuple; the window counts behind it are not kept.
     """
     lam = Fraction(lam)
     if lam <= 0:
@@ -177,18 +164,10 @@ def check_Cprime(p: Presentation, lam: Fraction) -> CprimeResult:
     for i, r in enumerate(p.relators):
         L = len(r)
         k = -((-num * L) // den)  # smallest piece length violating strictness
-        if k > L - 1:
-            continue
-        table = _windows(p, k)
-        for wi, sign, _, doubled in _sides(p):
-            if wi != i:
-                continue
-            for off in range(L):
-                window = doubled[off:off + k]
-                members = table.get(window, ())
-                if any(mem != (i, sign, off) for mem in members):
-                    return CprimeResult(ok=False, piece=decode_text(window),
-                                        relator_index=i, ratio=Fraction(k, L))
+        window = next((w for j, w in _shared_windows(p, k) if j == i), None)
+        if window is not None:
+            return CprimeResult(ok=False, piece=decode_text(window),
+                                relator_index=i, ratio=Fraction(k, L))
     return CprimeResult(ok=True)
 
 
@@ -218,7 +197,7 @@ def dehn_reduce(w, p: Presentation) -> Word:
         text = encode_word(w)
         hit = None
         for pos in range(n):
-            for i, sign, L, doubled in sides:
+            for _, L, doubled in sides:
                 need = L // 2 + 1
                 if pos + need > n:
                     continue

@@ -87,9 +87,6 @@ class Multiplier:
             raise ValueError("cut set must not contain the multiplier's inverse")
 
 
-WhiteheadMove = object  # Relabel | Multiplier
-
-
 def invert_move(mv):
     """The move undoing ``mv``: apply_move(apply_move(w, mv), invert_move(mv)) == w."""
     if isinstance(mv, Relabel):

@@ -1,7 +1,7 @@
 """Independent brute-force oracles for the tests: word enumeration, least
 rotation, readability of short words, one-move-at-a-time folding and
-stripping, and maximal arcs by walking; and the document mutator of the
-fuzz tests.
+stripping, maximal arcs by walking, and pieces by pairwise prefixes; and
+the document mutator of the fuzz tests.
 
 ``oracle_is_readable`` does not search partial walks the way
 :func:`relfold.readability.is_readable` does.  A path spelling the word
@@ -32,7 +32,10 @@ generators and word reversal, which commute with quotients and folding.
 from __future__ import annotations
 
 import copy
+import math
 from collections import Counter
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterator
 
@@ -237,6 +240,71 @@ def oracle_arc_partition(g) -> set:
             if e not in used:
                 walk(v, e, d)
     return arcs
+
+
+def _family(p) -> list:
+    """Every symmetrized member of ``p`` as (rotation, relator index), in
+    scan order: relator, sign (+1 first), offset."""
+    members = []
+    for i, r in enumerate(p.relators):
+        for base in (r, inverse(r)):
+            members.extend((base[k:] + base[:k], i) for k in range(len(base)))
+    return members
+
+
+def _shared_prefix(wa, wb) -> int:
+    """Length of the longest common prefix that is proper in both words."""
+    cap = min(len(wa), len(wb)) - 1
+    cp = 0
+    while cp < cap and wa[cp] == wb[cp]:
+        cp += 1
+    return cp
+
+
+def oracle_max_piece(p):
+    """Quadratic pairwise-prefix oracle for the piece maximum."""
+    members = [w for w, _ in _family(p)]
+    best_len, best_ratio = 0, Fraction(0)
+    for a, wa in enumerate(members):
+        for b, wb in enumerate(members):
+            if a != b and (cp := _shared_prefix(wa, wb)) >= 1:
+                best_len = max(best_len, cp)
+                best_ratio = max(best_ratio, Fraction(cp, len(wa)),
+                                 Fraction(cp, len(wb)))
+    return best_len, best_ratio
+
+
+@lru_cache(maxsize=1)
+def _piece_reach(p) -> tuple:
+    """``_family(p)`` as (rotation, relator index, longest piece it
+    carries), comparing every pair of members with the same first letter."""
+    members = _family(p)
+    by_first: dict[int, list[int]] = {}
+    for a, (w, _) in enumerate(members):
+        by_first.setdefault(w[0], []).append(a)
+    longest = [0] * len(members)
+    for group in by_first.values():
+        for a, b in combinations(group, 2):
+            cp = _shared_prefix(members[a][0], members[b][0])
+            longest[a] = max(longest[a], cp)
+            longest[b] = max(longest[b], cp)
+    return tuple((w, i, reach) for (w, i), reach in zip(members, longest))
+
+
+def oracle_cprime(p, lam):
+    """C'(lam) by pairwise prefixes, as (ok, piece, relator_index, ratio).
+
+    Relator i fails at k = ceil(lam * |r_i|) when one of its members
+    shares a proper prefix of length k with another member; the witness
+    is the first such member's prefix in scan order, the reference for
+    :func:`relfold.smallcancel.check_Cprime`.
+    """
+    for i, r in enumerate(p.relators):
+        k = math.ceil(Fraction(lam) * len(r))
+        for w, j, reach in _piece_reach(p):
+            if j == i and reach >= k:
+                return False, w[:k], i, Fraction(k, len(r))
+    return True, None, None, None
 
 
 FUZZ_VALUES = (None, True, 1.5, "x", "1", "", [], {}, [0], 0, -1, 3, 10**6, -(10**6))

@@ -56,7 +56,7 @@ from relfold.words import (
     parse_word,
     random_cyclically_reduced,
 )
-from oracles import enumerate_reduced, oracle_is_readable
+from oracles import enumerate_reduced, oracle_is_readable, oracle_max_piece
 
 A2 = Alphabet(2)
 SEED = 20250818
@@ -108,30 +108,6 @@ def test_criterion_2_readability_oracle_equivalence():
     fixed_no = ReadabilityQuery(parse_word("abAB"), 2, Fraction(1, 2), 1)
     assert is_readable(fixed_no).verdict != READABLE
     report(2, "readability oracle equivalence", t0, 600)
-
-
-def oracle_max_piece(p):
-    """Quadratic pairwise-prefix oracle for the piece maximum."""
-    members = []
-    for r in p.relators:
-        for sign in (1, -1):
-            base = r if sign == 1 else inverse(r)
-            for k in range(len(base)):
-                members.append(base[k:] + base[:k])
-    best_len, best_ratio = 0, Fraction(0)
-    for a, wa in enumerate(members):
-        for b, wb in enumerate(members):
-            if a == b:
-                continue
-            cap = min(len(wa) - 1, len(wb) - 1)
-            cp = 0
-            while cp < cap and wa[cp] == wb[cp]:
-                cp += 1
-            if cp >= 1:
-                best_len = max(best_len, cp)
-                best_ratio = max(best_ratio, Fraction(cp, len(wa)),
-                                 Fraction(cp, len(wb)))
-    return best_len, best_ratio
 
 
 def test_criterion_3_small_cancellation_exactness():

@@ -33,6 +33,7 @@ from relfold.words import (
     parse_word,
     random_cyclically_reduced,
 )
+from oracles import mutate_document
 
 A2 = Alphabet(2)
 PARAMS = default_params(2)
@@ -64,6 +65,12 @@ def class_passing_relator(seed: int = 7, length: int = 1000) -> Word:
             continue
         if check_Cprime(one_relator(r), PARAMS.lam).ok:
             return r
+
+
+def isomorphic_verdict():
+    r = minimal_relator(11)
+    return decide_isomorphic(one_relator(r), one_relator(apply_move(r, Relabel((2, 1)))),
+                             PARAMS, assume_in_class=True)
 
 
 def random_alpha_image(rng: random.Random, w: Word, m: int, k: int = 5) -> Word:
@@ -221,6 +228,49 @@ class TestSerialization:
                 "certificate": None}
         with pytest.raises(ValueError):
             verdict_from_jsonable(data)
+
+    @pytest.mark.parametrize("data", [
+        [],
+        "Isomorphic",
+        None,
+        {"kind": 5},
+        {"kind": NOT_ISOMORPHIC, "reason": 7},
+        {"kind": ISOMORPHIC},
+        {"kind": ISOMORPHIC, "certificate": None},
+        {"kind": ISOMORPHIC, "certificate": {}},
+        {"kind": ISOMORPHIC, "certificate": []},
+    ])
+    def test_decoder_rejects_malformed_documents(self, data):
+        with pytest.raises(ValueError):
+            verdict_from_jsonable(data)
+
+    @pytest.mark.parametrize("kind", [NOT_ISOMORPHIC, INAPPLICABLE])
+    def test_decoder_rejects_certificate_on_other_kinds(self, kind):
+        data = verdict_jsonable(isomorphic_verdict())
+        data["kind"] = kind
+        with pytest.raises(ValueError):
+            verdict_from_jsonable(data)
+
+    def test_fuzzed_verdict_never_crashes(self):
+        originals = [
+            json.dumps(verdict_jsonable(isomorphic_verdict())),
+            json.dumps(verdict_jsonable(decide_isomorphic(
+                one_relator(parse_word("aabb")), one_relator(parse_word("abab")),
+                PARAMS))),
+        ]
+        rng = random.Random(5153)
+        for run in range(300):
+            doc = json.loads(originals[run % 2])
+            mutations = mutate_document(doc, rng)
+            try:
+                v = verdict_from_jsonable(doc)
+            except ValueError:
+                continue
+            except Exception as exc:
+                pytest.fail(f"run {run} {mutations}: {exc!r}")
+            assert v.kind in (ISOMORPHIC, NOT_ISOMORPHIC, INAPPLICABLE), (run, mutations)
+            assert (v.kind == ISOMORPHIC) == (v.certificate is not None), (run, mutations)
+            assert v.reason is None or isinstance(v.reason, str), (run, mutations)
 
     def test_serialization_stable(self):
         r = minimal_relator(11)

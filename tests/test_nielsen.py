@@ -546,6 +546,16 @@ class TestTraceSerialization:
         assert rebuilt.conjugator == t.conjugator
         assert verify_trace(rebuilt, p)
 
+    @pytest.mark.parametrize("data", [
+        [],
+        {},
+        {"initial_tuple": ["a"], "initial_arrangement": [1], "steps": "x"},
+        {"initial_tuple": ["a"], "initial_arrangement": [1], "steps": [5]},
+    ])
+    def test_decoder_raises_only_value_error(self, data):
+        with pytest.raises(ValueError):
+            trace_from_jsonable(data)
+
     def test_serialization_is_stable(self):
         p = fixture_presentation()
         t = reduce_tuple((parse_word("baB"), (2,)), p, PARAMS).trace

@@ -1,6 +1,8 @@
 """Tests for pieces, C'(lambda) checking, Dehn reduction, long paths."""
 
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -24,42 +26,13 @@ from relfold.words import (
     inverse,
     random_cyclically_reduced,
 )
+from oracles import oracle_cprime, oracle_max_piece
 
 A2 = Alphabet(2)
 A4 = Alphabet(4)
 
 # commutator-style relator a b A B c d C D: all pieces have length 1
 SURFACE = Presentation(A4, ((1, 2, -1, -2, 3, 4, -3, -4),))
-
-
-def rotations_with_relator(p):
-    """Every family member as (word, relator index)."""
-    out = []
-    for i, r in enumerate(p.relators):
-        for sign in (1, -1):
-            base = r if sign == 1 else inverse(r)
-            for k in range(len(base)):
-                out.append((base[k:] + base[:k], i))
-    return out
-
-
-def oracle_max_piece(p):
-    """Quadratic pairwise-prefix oracle for the piece maximum."""
-    members = rotations_with_relator(p)
-    best_len, best_ratio = 0, Fraction(0)
-    for a, (wa, _) in enumerate(members):
-        for b, (wb, _) in enumerate(members):
-            if a == b:
-                continue
-            cap = min(len(wa) - 1, len(wb) - 1)
-            cp = 0
-            while cp < cap and wa[cp] == wb[cp]:
-                cp += 1
-            if cp >= 1:
-                best_len = max(best_len, cp)
-                best_ratio = max(best_ratio, Fraction(cp, len(wa)),
-                                 Fraction(cp, len(wb)))
-    return best_len, best_ratio
 
 
 def random_presentation(rng, m=2, max_relators=2, max_len=10):
@@ -158,6 +131,45 @@ class TestCheckCprime:
             p = random_presentation(rng)
             values = [bool(check_Cprime(p, lam)) for lam in lams]
             assert values == sorted(values)  # False before True never flips back
+
+    def test_witness_matches_oracle(self):
+        # m = 2-4, 1-3 relators of length 1-39, one in five a proper power
+        rng = random.Random(308)
+        lams = [Fraction(1, 63), Fraction(1, 24), Fraction(1, 12), Fraction(1, 10),
+                Fraction(1, 8), Fraction(1, 7), Fraction(1, 6), Fraction(1, 5),
+                Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2),
+                Fraction(2, 3), Fraction(1)]
+        for _ in range(2000):
+            m = rng.randrange(2, 5)
+            rels = []
+            for _ in range(rng.randrange(1, 4)):
+                if rng.random() < 0.2:
+                    root = random_cyclically_reduced(m, rng.randrange(1, 6), rng)
+                    rels.append(root * rng.randrange(2, 40 // len(root) + 1))
+                else:
+                    rels.append(random_cyclically_reduced(m, rng.randrange(1, 40), rng))
+            p = Presentation(Alphabet(m), tuple(rels))
+            for lam in lams:
+                res = check_Cprime(p, lam)
+                got = (res.ok, res.piece, res.relator_index, res.ratio)
+                assert got == oracle_cprime(p, lam), (rels, lam)
+
+    def test_keeps_no_window_tables(self):
+        # only the per-presentation side texts and the verdict memo outlive
+        # a check; a kept window table costs about 1 MB at this length
+        rng = random.Random(309)
+        fresh = [Presentation(A2, (random_cyclically_reduced(2, 2000, rng),))
+                 for _ in range(100)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for p in fresh:
+                check_Cprime(p, Fraction(1, 63))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 8 * 2**20, retained
 
 
 class TestDehn:
