@@ -1,9 +1,8 @@
 """Counting and sampling cyclically reduced words.
 
-Walks through the word kernel: exact counts from the transfer-matrix
-recurrence, agreement with brute-force enumeration at small lengths, and
-a histogram check that the sampler is uniform rather than approximately
-uniform.
+Walks through the word kernel: exact counts from Rivin's closed form,
+agreement with brute-force enumeration at small lengths, and a histogram
+check that the sampler is uniform rather than approximately uniform.
 """
 
 import random

@@ -178,11 +178,17 @@ def power_statuses(relators) -> tuple[PowerStatus, ...]:
 def check_membership(
     p: Presentation, params: ClassParams, node_budget: Optional[int] = None
 ) -> MembershipReport:
-    """Decide class membership, honestly reporting budget exhaustion."""
+    """Decide class membership, honestly reporting budget exhaustion.
+
+    ``node_budget`` caps the readability nodes of the condition-(3)
+    sweep; 0 skips the sweep, and a negative budget raises ``ValueError``.
+    """
     m = p.alphabet.m
     ok, why = validate_params(params, m)
     if not ok:
         raise ValueError(f"invalid class parameters: requires {why}")
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node budget must be nonnegative, got {node_budget}")
 
     c2 = power_statuses(p.relators)
     c1 = check_Cprime(p, params.lam)

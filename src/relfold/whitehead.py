@@ -214,8 +214,6 @@ def canonical_orbit_form(w: Word, m: int) -> Word:
 
 
 def _check_alphabet(w: Word, m: int) -> None:
-    if not w:
-        raise ValueError("word must be nontrivial")
     if not _in_alphabet(w, m):
         raise ValueError(f"word uses letters outside alphabet of rank {m}")
 
@@ -225,7 +223,8 @@ def minimize(w: Word, m: int) -> tuple[Word, tuple]:
 
     Returns the minimal word reached and the moves that got there.  When
     no multiplier move shortens the result, none exists at all, so the
-    returned length is the true orbit minimum.
+    returned length is the true orbit minimum.  A word that reduces to
+    the identity raises ``ValueError``.
 
     >>> minimize((1, 1, 2), 2)[0]
     (2,)
@@ -234,6 +233,8 @@ def minimize(w: Word, m: int) -> tuple[Word, tuple]:
     """
     _check_alphabet(w, m)
     current = cyclic_word(w)
+    if not current:
+        raise ValueError("word must be nontrivial")
     moves = []
     while True:
         for mv in multiplier_moves(m):
@@ -290,7 +291,8 @@ def same_orbit(u: Word, v: Word, m: int) -> Optional[OrbitCertificate]:
     apart), then breadth-first searches the level set of minimal words
     reachable from u's minimum by length-preserving multiplier moves,
     visiting each relabel-canonical form once.  Returns a verified
-    certificate, or None when the orbits differ.
+    certificate, or None when the orbits differ.  A word that reduces to
+    the identity raises ``ValueError``.
     """
     _check_alphabet(u, m)
     _check_alphabet(v, m)

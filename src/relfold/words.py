@@ -9,16 +9,15 @@ A cyclic word is represented by the lexicographically least rotation of a
 cyclically reduced word, under the letter order a < A < b < B < c < ...
 The least rotation is found by Booth's algorithm in O(n) comparisons.
 
-Counting and sampling of cyclically reduced words use an exact
-transfer-matrix dynamic program over (first letter, last letter) pairs,
-so sampling is exactly uniform -- there is no rejection step.
+Counting and sampling of cyclically reduced words rest on
+closed-form counting (Rivin) of words and their completions, so
+sampling is exactly uniform -- there is no rejection step.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 Word = tuple  # tuple of nonzero ints; +i = generator i, -i = its inverse
@@ -308,37 +307,12 @@ def format_word(w: Sequence[int]) -> str:
 # ---------------------------------------------------------------------------
 # Counting and exact uniform sampling
 
-@lru_cache(maxsize=16)
-def _completion_table(m: int, t: int, first: int) -> list[dict[int, int]]:
-    """B[j][y] = number of ways to fill positions j+1..t of a reduced word
-    given that position j holds letter y, subject to the cyclic constraint
-    that position t must not be the inverse of ``first``.
-
-    Positions are 1-based; the table is indexed B[j] for j in 1..t.
-    """
-    letters = signed_letters(m)
-    B: list[dict[int, int]] = [dict() for _ in range(t + 1)]
-    B[t] = {y: 1 for y in letters}
-    for j in range(t - 1, 0, -1):
-        nxt = B[j + 1]
-        row = {}
-        for y in letters:
-            total = 0
-            for z in letters:
-                if z == -y:
-                    continue
-                if j + 1 == t and z == -first:
-                    continue
-                total += nxt[z]
-            row[y] = total
-        B[j] = row
-    return B
-
-
 def count_cyclically_reduced(m: int, t: int) -> int:
     """Number of cyclically reduced words of length exactly t over rank m.
 
-    Transfer-matrix count over (first, last) letter pairs.
+    Rivin's closed form (2m-1)^t + 1 + (m-1)(1 + (-1)^t) for t >= 1
+    (I. Rivin, "Growth in free groups (and other stories)",
+    arXiv:math/9911076).
 
     >>> count_cyclically_reduced(2, 2)
     12
@@ -349,43 +323,45 @@ def count_cyclically_reduced(m: int, t: int) -> int:
         raise ValueError("length must be nonnegative")
     if t == 0:
         return 1
-    total = 0
-    for first in signed_letters(m):
-        total += _completion_table(m, t, first)[1][first]
-    return total
+    return (2 * m - 1) ** t + 1 + (m - 1) * (1 + (-1) ** t)
 
 
 def random_cyclically_reduced(m: int, t: int, rng: random.Random) -> Word:
     """Exactly uniform cyclically reduced word of length t.
 
-    Letters are drawn left to right; each conditional distribution is the
-    exact ratio of completion counts from the transfer-matrix table, so
-    every cyclically reduced word of length t has equal probability.
+    Letters are drawn left to right, each with probability proportional
+    to the number of ways to finish the word; all 2m first letters have
+    equal counts.  With q = 2m - 1 the transfer matrix of reduced words is
+    A = J - P, where J is all ones and P swaps each letter with its
+    inverse, so A^k = (-1)^k P^k + J (q^k - (-1)^k) / 2m.  Of the q^k
+    reduced continuations of a letter z that k more letters follow,
+    (q^k - (-1)^k) / 2m end in the inverse of the first letter, plus
+    (-1)^k more when z = P^k(-first).  So z finishes the word in
+    (q^(k+1) + (-1)^k) / 2m ways, less (-1)^k when z = P^k(-first).  The
+    count of each letter drawn is the total that the next draw divides.
     """
     if t < 1:
         raise ValueError("length must be at least 1")
     letters = signed_letters(m)
-    # first letter from its exact marginal
-    weights = [_completion_table(m, t, f)[1][f] for f in letters]
-    total = sum(weights)
-    x = rng.randrange(total)
-    for first, wt in zip(letters, weights):
-        if x < wt:
-            break
-        x -= wt
+    n = count_cyclically_reduced(m, t)
+    total = n // (2 * m)
+    first = letters[rng.randrange(n) // total]
     word = [first]
-    B = _completion_table(m, t, first)
-    for j in range(2, t + 1):
-        prev = word[-1]
-        cands = [z for z in letters
-                 if z != -prev and not (j == t and z == -first)]
-        row = B[j]
-        total = sum(row[z] for z in cands)
+    q = 2 * m - 1
+    base = (q ** t - (-1) ** t) // (2 * m)  # base(t - 1)
+    for k in range(t - 2, -1, -1):
+        sign = -1 if k % 2 else 1
+        base = (base + sign) // q  # q * base(k) = base(k + 1) + (-1)^k
+        twisted = first if k % 2 else -first  # P^k(-first)
+        back = -word[-1]
         x = rng.randrange(total)
-        for z in cands:
-            if x < row[z]:
+        for z in letters:
+            if z == back or (k == 0 and z == -first):
+                continue
+            total = base - sign if z == twisted else base
+            if x < total:
                 break
-            x -= row[z]
+            x -= total
         word.append(z)
     w = tuple(word)
     if not is_cyclically_reduced(w):

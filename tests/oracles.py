@@ -1,4 +1,5 @@
-"""Independent brute-force oracles for the tests: word enumeration, least
+"""Independent brute-force oracles for the tests: word enumeration, the
+transfer-matrix counts and draws of cyclically reduced words, least
 rotation, readability of short words, one-move-at-a-time folding and
 stripping, maximal arcs by walking, and pieces by pairwise prefixes; and
 the document mutator of the fuzz tests.
@@ -72,6 +73,79 @@ def enumerate_cyclically_reduced(m: int, t: int) -> Iterator[Word]:
     for w in enumerate_reduced(m, t):
         if t < 2 or w[0] != -w[-1]:
             yield w
+
+
+def oracle_completion_table(m: int, t: int, first: int) -> list[dict[int, int]]:
+    """B[j][y] = number of ways to fill positions j+1..t of a reduced word
+    given that position j holds letter y, subject to the cyclic constraint
+    that position t must not be the inverse of ``first``.
+
+    Positions are 1-based; the table is indexed B[j] for j in 1..t.  This
+    dynamic program over (first letter, last letter) pairs is the
+    reference for the closed-form counts in :mod:`relfold.words`.
+    """
+    letters = signed_letters(m)
+    B: list[dict[int, int]] = [dict() for _ in range(t + 1)]
+    B[t] = {y: 1 for y in letters}
+    for j in range(t - 1, 0, -1):
+        nxt = B[j + 1]
+        row = {}
+        for y in letters:
+            total = 0
+            for z in letters:
+                if z == -y:
+                    continue
+                if j + 1 == t and z == -first:
+                    continue
+                total += nxt[z]
+            row[y] = total
+        B[j] = row
+    return B
+
+
+@lru_cache(maxsize=None)
+def oracle_count_cyclically_reduced(m: int, t: int) -> int:
+    """Cyclically reduced words of length t >= 1, summed from the tables."""
+    return sum(oracle_completion_table(m, t, f)[1][f] for f in signed_letters(m))
+
+
+def oracle_random_cyclically_reduced(m: int, t: int, rng) -> Word:
+    """Uniform cyclically reduced word of length t >= 1 drawn letter by
+    letter with table weights, making the same ``rng`` calls as
+    :func:`relfold.words.random_cyclically_reduced`."""
+    letters = signed_letters(m)
+    weights = [oracle_completion_table(m, t, f)[1][f] for f in letters]
+    x = rng.randrange(sum(weights))
+    for first, wt in zip(letters, weights):
+        if x < wt:
+            break
+        x -= wt
+    word = [first]
+    B = oracle_completion_table(m, t, first)
+    for j in range(2, t + 1):
+        prev = word[-1]
+        cands = [z for z in letters
+                 if z != -prev and not (j == t and z == -first)]
+        row = B[j]
+        x = rng.randrange(sum(row[z] for z in cands))
+        for z in cands:
+            if x < row[z]:
+                break
+            x -= row[z]
+        word.append(z)
+    return tuple(word)
+
+
+def oracle_random_cyclically_reduced_up_to(m: int, t: int, rng) -> Word:
+    """Uniform nonempty cyclically reduced word of length <= t (table
+    counts), as :func:`relfold.words.random_cyclically_reduced_up_to`."""
+    counts = [oracle_count_cyclically_reduced(m, k) for k in range(1, t + 1)]
+    x = rng.randrange(sum(counts))
+    for k, c in enumerate(counts, start=1):
+        if x < c:
+            return oracle_random_cyclically_reduced(m, k, rng)
+        x -= c
+    raise RuntimeError("unreachable")
 
 
 def oracle_least_rotation(w: Word) -> Word:

@@ -52,9 +52,11 @@ from relfold.words import (
     cyclic_word,
     free_reduce,
     inverse,
+    is_cyclically_reduced,
     is_proper_power,
     parse_word,
     random_cyclically_reduced,
+    random_cyclically_reduced_up_to,
 )
 from oracles import enumerate_reduced, oracle_is_readable, oracle_max_piece
 
@@ -359,6 +361,15 @@ def test_criterion_7_genericity_trend():
     assert all(a <= b for a, b in zip(fractions, fractions[1:])), fractions
     assert fractions[-1] >= Fraction(95, 100), fractions
     report(7, "genericity trend", t0, 600)
+
+
+def test_criterion_7_up_to_draw_at_length_2000():
+    # sample_genericity(exact_length=False) draws its relators this way.
+    rng = random.Random(SEED)
+    t0 = time.monotonic()
+    w = random_cyclically_reduced_up_to(2, 2000, rng)
+    assert 1 <= len(w) <= 2000 and is_cyclically_reduced(w)
+    report(7, "up-to draw at t = 2000", t0, 1)
 
 
 def test_criterion_8_isomorphism_end_to_end():

@@ -133,9 +133,17 @@ class TestCheck:
 
     def test_budget_exhaustion_exits_2(self, tmp_path, capsys, default_class_relator):
         path = write_presentation(tmp_path / "p.txt", 2, default_class_relator)
-        code = run_cli(["check", path, "--budget", "5"])
-        assert code == 2
-        assert "Undetermined" in capsys.readouterr().out
+        for budget in ("5", "0"):  # 0 skips the C3 sweep
+            code = run_cli(["check", path, "--budget", budget])
+            assert code == 2
+            assert "Undetermined" in capsys.readouterr().out
+
+    def test_negative_budget_exits_usage(self, tmp_path, capsys, default_class_relator):
+        path = write_presentation(tmp_path / "p.txt", 2, default_class_relator)
+        assert run_cli(["check", path, "--budget", "-3"]) == EX_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "node budget" in captured.err
 
     def test_bad_params_exit_usage(self, tmp_path, capsys):
         path = write_presentation(tmp_path / "p.txt", 2, "aabb")
@@ -283,6 +291,13 @@ class TestIso:
         assert run_cli(["iso", p1, p2]) == 2
         assert "Inapplicable" in capsys.readouterr().out
 
+    def test_negative_budget_exits_usage(self, tmp_path, capsys, default_class_relator):
+        path = write_presentation(tmp_path / "p.txt", 2, default_class_relator)
+        assert run_cli(["iso", path, path, "--budget", "-1"]) == EX_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "node budget" in captured.err
+
     def test_huge_rank_exits_usage(self, tmp_path, capsys):
         p1 = write_presentation(tmp_path / "p1.txt", 30, "ab")
         p2 = write_presentation(tmp_path / "p2.txt", 30, "ba")
@@ -328,6 +343,10 @@ class TestSample:
         code = run_cli(["sample", "--m", "2", "--n", "1", "--samples", "4", "--t", "40"])
         assert code == EX_USAGE
         assert "--seed" in capsys.readouterr().err
+
+    def test_negative_budget_exits_usage(self, capsys):
+        assert run_cli(self.BASE + ["--t", "40", "--budget", "-2"]) == EX_USAGE
+        assert "node budget" in capsys.readouterr().err
 
     def test_bad_t_list(self, capsys):
         assert run_cli(self.BASE + ["--t", "40;60"]) == EX_USAGE
@@ -378,6 +397,18 @@ class TestWordCommands:
     def test_orbit_not_equivalent(self, capsys):
         assert run_cli(["orbit", "a", "aBAb"]) == 1
         assert capsys.readouterr().out.strip() == "not equivalent"
+
+    @pytest.mark.parametrize("argv", [
+        ["whitehead-min", "aA"],
+        ["whitehead-min", "abBA", "--json"],
+        ["orbit", "aA", "bB", "--json"],
+        ["orbit", "a", "bB"],
+    ])
+    def test_trivial_word_exits_usage(self, capsys, argv):
+        assert run_cli(argv) == EX_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nontrivial" in captured.err
 
     def test_bad_word_exits_usage(self):
         assert run_cli(["whitehead-min", "a$b"]) == EX_USAGE

@@ -165,6 +165,13 @@ class TestCheckMembership:
         with pytest.raises(ValueError):
             check_membership(pres("ab"), ClassParams(Fraction(1, 40), Fraction(1, 2), 2))
 
+    def test_negative_budget_raises(self):
+        # rejected up front, even where C1 would answer first
+        for rel in ("ab", "aabb"):
+            for budget in (-1, -3):
+                with pytest.raises(ValueError, match="node budget"):
+                    check_membership(pres(rel), default_params(2), node_budget=budget)
+
     def test_instant_answers_cost_no_budget(self):
         report = check_membership(pres("ab"), default_params(2), node_budget=1)
         assert report.verdict == IN_CLASS
@@ -238,6 +245,10 @@ class TestSampleGenericity:
     def test_invalid_params_raise(self):
         with pytest.raises(ValueError):
             sample_genericity(2, 1, [4], 5, ClassParams(Fraction(1, 40), Fraction(1, 2), 2), None, 3)
+
+    def test_negative_budget_raises(self):
+        with pytest.raises(ValueError, match="node budget"):
+            sample_genericity(2, 1, [5], 2, default_params(2), -1, 7)
 
 
 class TestSerialization:
@@ -333,6 +344,7 @@ class TestSweepCounts:
             (21, 1, 0, False),  # spent between two subwords
             (20, 0, 1, False),  # the first subword's second query runs out
             (100, 4, 1, False),
+            (0, 0, 0, False),  # a zero budget skips the sweep
         ],
     )
     def test_counts(self, report, budget, checked, unknown, complete):

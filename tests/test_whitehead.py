@@ -250,6 +250,11 @@ class TestMinimize:
         with pytest.raises(ValueError):
             minimize((1, 3), 2)
 
+    @pytest.mark.parametrize("w", [(), (1, -1), (1, 2, -2, -1), (2, 1, -1, -2)])
+    def test_rejects_trivial_words(self, w):
+        with pytest.raises(ValueError, match="nontrivial"):
+            minimize(w, 2)
+
 
 class TestSameOrbit:
     def test_reflexive(self):
@@ -264,6 +269,11 @@ class TestSameOrbit:
         cert = same_orbit((1,), (2,), 2)
         assert cert is not None
         assert verify_certificate(cert, 2)
+
+    @pytest.mark.parametrize("u,v", [((1, -1), (2, -2)), ((1, -1), (1,)), ((1,), (2, 1, -1, -2))])
+    def test_rejects_trivial_words(self, u, v):
+        with pytest.raises(ValueError, match="nontrivial"):
+            same_orbit(u, v, 2)
 
     def test_commutator_and_generator_differ(self):
         assert same_orbit(parse_word("abAB"), (1,), 2) is None

@@ -30,7 +30,14 @@ from relfold.words import (
     random_cyclically_reduced_up_to,
     substitute,
 )
-from oracles import enumerate_cyclically_reduced, enumerate_reduced, oracle_least_rotation
+from oracles import (
+    enumerate_cyclically_reduced,
+    enumerate_reduced,
+    oracle_count_cyclically_reduced,
+    oracle_least_rotation,
+    oracle_random_cyclically_reduced,
+    oracle_random_cyclically_reduced_up_to,
+)
 
 
 def words_upto(m, t):
@@ -269,6 +276,45 @@ class TestCounting:
             for t in range(0, 7 if m == 2 else 5):
                 expected = sum(1 for _ in enumerate_cyclically_reduced(m, t))
                 assert count_cyclically_reduced(m, t) == expected
+
+
+def rivin_count(m, t):
+    """Cyclically reduced words of length t >= 1 over rank m (I. Rivin,
+    "Growth in free groups (and other stories)", arXiv:math/9911076)."""
+    return (2 * m - 1) ** t + 1 + (m - 1) * (1 + (-1) ** t)
+
+
+class TestAgainstTransferTable:
+    """The closed forms against the transfer-matrix tables they replace:
+    equal counts, and seeded draws that make the same ``rng`` calls, so
+    every seeded draw is the word the tables gave."""
+
+    def test_counts_match_rivin_and_table(self):
+        for m in range(1, 6):
+            assert count_cyclically_reduced(m, 0) == 1
+            for t in range(1, 60):
+                assert (count_cyclically_reduced(m, t) == rivin_count(m, t)
+                        == oracle_count_cyclically_reduced(m, t)), (m, t)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_exact_length_draws_match_table(self, m):
+        for t in (*range(1, 12), 16, 17, 31, 64, 99, 128, 200):
+            for seed in range(3):
+                a, b = random.Random(seed), random.Random(seed)
+                for _ in range(2):
+                    assert (random_cyclically_reduced(m, t, a)
+                            == oracle_random_cyclically_reduced(m, t, b)), (m, t, seed)
+                assert a.getstate() == b.getstate()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_up_to_draws_match_table(self, m):
+        for t in (1, 2, 3, 4, 5, 8, 13, 50, 101, 200):
+            for seed in range(3):
+                a, b = random.Random(seed), random.Random(seed)
+                for _ in range(2):
+                    assert (random_cyclically_reduced_up_to(m, t, a)
+                            == oracle_random_cyclically_reduced_up_to(m, t, b)), (m, t, seed)
+                assert a.getstate() == b.getstate()
 
 
 class TestSampling:
