@@ -358,7 +358,8 @@ def build_parser() -> _Parser:
     sp.add_argument("presentation", help="presentation file")
     _add_params_flags(sp)
     sp.add_argument("--budget", type=int, default=None,
-                    help="node budget for the readability sweep")
+                    help="node budget for the condition-(3) readability sweep; "
+                         "0 skips the sweep")
     sp.add_argument("--json", action="store_true", help="machine-readable output")
     sp.set_defaults(func=cmd_check)
 
@@ -384,7 +385,8 @@ def build_parser() -> _Parser:
     sp.add_argument("presentation2", help="second presentation file")
     _add_params_flags(sp)
     sp.add_argument("--budget", type=int, default=None,
-                    help="node budget for membership certification")
+                    help="node budget for membership certification; "
+                         "0 skips the condition-(3) sweep")
     sp.add_argument("--assume-in-class", action="store_true",
                     help="skip membership certification; verdicts become conditional")
     sp.add_argument("--json", action="store_true", help="machine-readable output")
@@ -401,7 +403,8 @@ def build_parser() -> _Parser:
                     help="RNG seed (mandatory: tables must be reproducible)")
     _add_params_flags(sp)
     sp.add_argument("--budget", type=int, default=None,
-                    help="node budget per membership check")
+                    help="node budget per membership check; "
+                         "0 skips the condition-(3) sweep")
     sp.add_argument("--csv", metavar="OUT.csv", default=None,
                     help="write the table here instead of stdout")
     sp.add_argument("--json", action="store_true", help="machine-readable output")
@@ -415,7 +418,8 @@ def build_parser() -> _Parser:
                     help="witness rank bound (default m - 1)")
     sp.add_argument("--low-degree", action="store_true",
                     help="require a vertex of degree below 2m in the witness")
-    sp.add_argument("--budget", type=int, default=None, help="search node budget")
+    sp.add_argument("--budget", type=int, default=None,
+                    help="search node budget (must be positive)")
     sp.add_argument("--json", action="store_true", help="machine-readable output")
     sp.set_defaults(func=cmd_readable)
 

@@ -28,17 +28,26 @@ read ``w`` letter by letter, and at each step either follow the unique
 existing edge (foldedness forces it), open a new edge to an existing
 vertex whose matching slot is free, or open a new edge to a fresh vertex.
 Along any branch the edge count and the rank only ever grow, so the edge
-budget and the rank bound prune exactly.  Failed states are memoised
-under a canonical relabeling, and an optional node budget turns the
-answer into ``Unknown`` instead of letting the search run long.
+budget and the rank bound prune exactly.  An optional node budget turns
+the answer into ``Unknown`` instead of letting the search run long.
+
+No two search states are the same up to relabeling, so there is nothing
+to memoise.  In a state ``(j, cur, G)``, ``G`` is exactly the set of
+edges crossed by the path reading ``w[:j]`` from vertex 0 to ``cur``.
+Take a label-preserving isomorphism from one such ``G`` to another that
+sends ``cur`` to ``cur``.  Both graphs are folded, so reading ``w[:j]``
+backwards from ``cur`` follows one path in each; the isomorphism maps
+path onto path and vertex 0 onto vertex 0.  Vertices and edges are
+numbered in the order the path first meets them, so it is the identity.
+Equal graphs and paths mean equal choices: each node of the search tree
+is visited once.
 
 Each search state is one generator frame.  It counts itself against the
-budget, prunes, and checks the memo; then it yields one child state per
-choice, adding that choice's edge before the yield and removing it when
-resumed, and memoises its key once every child has failed.  A short
-loop steps the top frame of an explicit stack: the search depth equals
-the word length, and the half-relator subwords of condition (3) run to
-thousands of letters, far past Python's recursion limit.
+budget and prunes; then it yields one child state per choice, adding
+that choice's edge before the yield and removing it when resumed.  A
+short loop steps the top frame of an explicit stack: the search depth
+equals the word length, and the half-relator subwords of condition (3)
+run to thousands of letters, far past Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .fgraph import FGraph, Path
-from .words import Word, is_reduced, signed_letters
+from .words import Word, is_reduced
 
 READABLE = "Readable"
 NOT_READABLE = "NotReadable"
@@ -177,24 +186,8 @@ def is_readable(query: ReadabilityQuery) -> ReadabilityAnswer:
     edges: list[tuple[int, int, int]] = []  # (origin, target, label)
     label_count = [0] * (query.m + 1)  # edges carrying each generator
     steps: list[tuple[int, int]] = []
-    signed = signed_letters(query.m)
-    failed: set[tuple] = set()
     nodes = 0
     found: Optional[tuple[FGraph, Path]] = None  # the witness, once met
-
-    def canon_key(j: int, cur: int) -> tuple:
-        # Relabel vertices by a deterministic traversal from cur so that
-        # states differing only in vertex numbering share a memo entry.
-        order = {cur: 0}
-        queue = [cur]
-        while queue:
-            v = queue.pop()
-            for x in signed:
-                hit = trans.get((v, x))
-                if hit is not None and hit[0] not in order:
-                    order[hit[0]] = len(order)
-                    queue.append(hit[0])
-        return j, tuple(sorted((order[o], order[t], lab) for o, t, lab in edges))
 
     def add_edge(cur: int, x: int, u: int) -> None:
         eid, lab = len(edges), abs(x)
@@ -227,9 +220,6 @@ def is_readable(query: ReadabilityQuery) -> ReadabilityAnswer:
                 return
             found = (FGraph.from_edges(edges), Path(0, tuple(steps)))
             return
-        key = canon_key(j, cur)
-        if key in failed:
-            return
         x = word[j]
         hit = trans.get((cur, x))
         if hit is not None:
@@ -248,7 +238,6 @@ def is_readable(query: ReadabilityQuery) -> ReadabilityAnswer:
             add_edge(cur, x, n_vertices)
             yield state(j + 1, n_vertices, n_vertices + 1, rank)
             remove_edge(cur, x, n_vertices)
-        failed.add(key)
 
     stack = [state(0, 0, 1, 0)]
     try:

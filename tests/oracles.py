@@ -1,6 +1,7 @@
 """Independent brute-force oracles for the tests: word enumeration, the
 transfer-matrix counts and draws of cyclically reduced words, least
-rotation, readability of short words, one-move-at-a-time folding and
+rotation, readability of short words, the readability search with its
+old memo of failed states, one-move-at-a-time folding and
 stripping, maximal arcs by walking, and pieces by pairwise prefixes; and
 the document mutator of the fuzz tests.
 
@@ -40,7 +41,14 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterator
 
-from relfold.readability import ReadabilityQuery
+from relfold.fgraph import FGraph, Path
+from relfold.readability import (
+    NOT_READABLE,
+    READABLE,
+    UNKNOWN,
+    ReadabilityAnswer,
+    ReadabilityQuery,
+)
 from relfold.words import Word, inverse, signed_letters, word_key
 
 _ORACLE_MAX_LEN = 11
@@ -238,6 +246,124 @@ def oracle_is_readable(query: ReadabilityQuery) -> bool:
         and (not query.require_low_degree or mindeg < 2 * query.m)
         for e, rank, mindeg in _ORACLE_CACHE[canon]
     )
+
+
+class _MemoBudgetExhausted(Exception):
+    pass
+
+
+def oracle_memo_is_readable(query: ReadabilityQuery) -> tuple[ReadabilityAnswer, int]:
+    """The readability search with a memo of failed states, and its hits.
+
+    This is :func:`relfold.readability.is_readable` as it was when it
+    memoised every failed state ``(j, cur, G)`` under a relabeling of
+    ``G`` from ``cur``, and skipped a state whose key it had stored.
+    Returns the answer and the number of states the memo skipped.  A
+    test checks that the count is always 0 and that the answer equals the
+    memo-free search's: two states with one key are one node of the
+    search tree, so the memo cannot prune anything.
+    """
+    word = query.word
+    l = len(word)
+    max_e = query.edge_budget
+
+    if len({abs(x) for x in word}) > max_e:
+        return ReadabilityAnswer(NOT_READABLE), 0
+    if query.mu == 1:
+        g = FGraph()
+        path_steps = g.add_path(g.add_vertex(), None, word)
+        return ReadabilityAnswer(READABLE, g, Path(0, path_steps)), 0
+
+    suffix_labels = [frozenset()] * (l + 1)
+    for j in range(l - 1, -1, -1):
+        suffix_labels[j] = suffix_labels[j + 1] | {abs(word[j])}
+
+    trans: dict[tuple[int, int], tuple[int, int, int]] = {}
+    edges: list[tuple[int, int, int]] = []
+    label_count = [0] * (query.m + 1)
+    steps: list[tuple[int, int]] = []
+    signed = signed_letters(query.m)
+    failed: set[tuple] = set()
+    nodes = hits = 0
+    found = None
+
+    def canon_key(j: int, cur: int) -> tuple:
+        order = {cur: 0}
+        queue = [cur]
+        while queue:
+            v = queue.pop()
+            for x in signed:
+                hit = trans.get((v, x))
+                if hit is not None and hit[0] not in order:
+                    order[hit[0]] = len(order)
+                    queue.append(hit[0])
+        return j, tuple(sorted((order[o], order[t], lab) for o, t, lab in edges))
+
+    def add_edge(cur: int, x: int, u: int) -> None:
+        eid, lab = len(edges), abs(x)
+        edges.append((cur, u, lab) if x > 0 else (u, cur, lab))
+        direction = 1 if x > 0 else -1
+        trans[(cur, x)] = (u, eid, direction)
+        trans[(u, -x)] = (cur, eid, -direction)
+        steps.append((eid, direction))
+        label_count[lab] += 1
+
+    def remove_edge(cur: int, x: int, u: int) -> None:
+        edges.pop()
+        steps.pop()
+        del trans[(cur, x)], trans[(u, -x)]
+        label_count[abs(x)] -= 1
+
+    def state(j: int, cur: int, n_vertices: int, rank: int):
+        nonlocal nodes, hits, found
+        nodes += 1
+        if query.node_budget is not None and nodes > query.node_budget:
+            raise _MemoBudgetExhausted
+        e_now = len(edges)
+        if e_now + sum(not label_count[lab] for lab in suffix_labels[j]) > max_e:
+            return
+        if j == l:
+            deg = Counter(v for o, t, _ in edges for v in (o, t))
+            if query.require_low_degree and min(deg.values()) >= 2 * query.m:
+                return
+            found = (FGraph.from_edges(edges), Path(0, tuple(steps)))
+            return
+        key = canon_key(j, cur)
+        if key in failed:
+            hits += 1
+            return
+        x = word[j]
+        hit = trans.get((cur, x))
+        if hit is not None:
+            u, eid, direction = hit
+            steps.append((eid, direction))
+            yield state(j + 1, u, n_vertices, rank)
+            steps.pop()
+        elif e_now < max_e:
+            if rank < query.rank_bound:
+                for u in range(n_vertices):
+                    if (u, -x) not in trans:
+                        add_edge(cur, x, u)
+                        yield state(j + 1, u, n_vertices, rank + 1)
+                        remove_edge(cur, x, u)
+            add_edge(cur, x, n_vertices)
+            yield state(j + 1, n_vertices, n_vertices + 1, rank)
+            remove_edge(cur, x, n_vertices)
+        failed.add(key)
+
+    stack = [state(0, 0, 1, 0)]
+    try:
+        while stack and found is None:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+            else:
+                stack.append(child)
+    except _MemoBudgetExhausted:
+        return ReadabilityAnswer(UNKNOWN, nodes_expanded=nodes), hits
+    if found is None:
+        return ReadabilityAnswer(NOT_READABLE, nodes_expanded=nodes), hits
+    return ReadabilityAnswer(READABLE, *found, nodes), hits
 
 
 def _first_conflict(g):

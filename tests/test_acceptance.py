@@ -18,7 +18,12 @@ from scipy.stats import chisquare
 
 from relfold import nielsen
 from relfold.fgraph import FGraph, Path
-from relfold.genericity import check_membership, default_params, sample_genericity
+from relfold.genericity import (
+    UNDETERMINED,
+    check_membership,
+    default_params,
+    sample_genericity,
+)
 from relfold.iso import ISOMORPHIC, NOT_ISOMORPHIC, decide_isomorphic
 from relfold.nielsen import (
     NOT_IN_CLASS,
@@ -110,6 +115,15 @@ def test_criterion_2_readability_oracle_equivalence():
     fixed_no = ReadabilityQuery(parse_word("abAB"), 2, Fraction(1, 2), 1)
     assert is_readable(fixed_no).verdict != READABLE
     report(2, "readability oracle equivalence", t0, 600)
+
+
+def test_criterion_2_membership_sweep_at_budget_20000(default_class_relator):
+    # 80 times the membership bench's node budget of 250.
+    p = Presentation(A2, (parse_word(default_class_relator),))
+    t0 = time.monotonic()
+    rep = check_membership(p, default_params(2), node_budget=20000)
+    assert rep.verdict == UNDETERMINED
+    report(2, "membership sweep at node budget 20000", t0, 0.5)
 
 
 def test_criterion_3_small_cancellation_exactness():

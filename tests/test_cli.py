@@ -42,18 +42,6 @@ def smooth_relator():
 SMOOTH_FLAGS = ["--lambda", "1/33", "--mu", "1"]
 
 
-@pytest.fixture(scope="module")
-def default_class_relator():
-    """A length-1000 rank-2 relator passing C1/C2 at the default 1/63 bound."""
-    rng = random.Random(7)
-    while True:
-        r = random_cyclically_reduced(2, 1000, rng)
-        if is_proper_power(r):
-            continue
-        if check_Cprime(Presentation(Alphabet(2), (r,)), Fraction(1, 63)):
-            return format_word(r)
-
-
 class TestFractionParsing:
     def test_bare_integer(self):
         assert cli.parse_fraction("1") == Fraction(1)

@@ -1,6 +1,7 @@
 """Tests for path-readability of words in bounded graphs."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from relfold.readability import (
     witness_is_valid,
 )
 from relfold.words import inverse, parse_word
-from oracles import enumerate_reduced, oracle_is_readable
+from oracles import enumerate_reduced, oracle_is_readable, oracle_memo_is_readable
 
 
 def q(word, mu, rank_bound, m=2, **kw):
@@ -333,3 +334,61 @@ class TestPinnedSearch:
         ans = is_readable(query)
         assert (ans.verdict, ans.nodes_expanded) == (READABLE, 3001)
         assert witness_is_valid(query, ans.graph, ans.path)
+
+
+def same_answer(a, b):
+    """Verdict, node count, witness edges and witness path all agree."""
+    def edges(ans):
+        return None if ans.graph is None else ans.graph.edges
+    return ((a.verdict, a.nodes_expanded, edges(a), a.path)
+            == (b.verdict, b.nodes_expanded, edges(b), b.path))
+
+
+def memo_queries():
+    # Every rank-2 word up to length 6 and rank-3 word up to length 4,
+    # under every rank bound that can matter (rank <= edge count), then
+    # seeded random words up to length 14.
+    mus = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]
+    for m, top in ((2, 6), (3, 4)):
+        for length in range(1, top + 1):
+            for w in enumerate_reduced(m, length):
+                for mu in mus:
+                    for rb in range(mu.numerator * length // mu.denominator + 1):
+                        for flag in (False, True):
+                            for budget in (None, 50):
+                                yield ReadabilityQuery(w, m, mu, rb, flag, budget)
+    rng = random.Random(413)
+    for _ in range(500):
+        m = rng.choice((2, 3))
+        w = random_reduced(rng, m, rng.randint(1, 14))
+        yield ReadabilityQuery(w, m, rng.choice(mus), rng.randint(0, 3),
+                               rng.choice((False, True)), rng.choice((None, 50, 250, 1000)))
+
+
+class TestNoMemo:
+    def test_memo_never_hits(self):
+        # A search state (j, cur, G) is one node of the search tree: G is
+        # the image of the path reading word[:j] from vertex 0 to cur, and
+        # a memo of failed states keyed on G relabeled from cur never
+        # skips a state, so dropping it changes no answer.
+        count = 0
+        for query in memo_queries():
+            want, hits = oracle_memo_is_readable(query)
+            assert hits == 0, query
+            assert same_answer(is_readable(query), want), query
+            count += 1
+        assert count > 50000
+
+    def test_search_memory_is_bounded(self, default_class_relator):
+        # The search keeps one path of states, so its memory grows with
+        # the word's length, not with the number of nodes it expands.
+        query = ReadabilityQuery(parse_word(default_class_relator)[:500], 2, Fraction(1, 2), 1,
+                                 node_budget=20000)
+        tracemalloc.start()
+        try:
+            ans = is_readable(query)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ans.verdict == UNKNOWN
+        assert peak < 5 * 2**20, peak
