@@ -359,7 +359,8 @@ def build_parser() -> _Parser:
     _add_params_flags(sp)
     sp.add_argument("--budget", type=int, default=None,
                     help="node budget for the condition-(3) readability sweep; "
-                         "0 skips the sweep")
+                         "0 skips the sweep, and omitting it leaves the sweep "
+                         "without a time bound")
     sp.add_argument("--json", action="store_true", help="machine-readable output")
     sp.set_defaults(func=cmd_check)
 
@@ -386,7 +387,8 @@ def build_parser() -> _Parser:
     _add_params_flags(sp)
     sp.add_argument("--budget", type=int, default=None,
                     help="node budget for membership certification; "
-                         "0 skips the condition-(3) sweep")
+                         "0 skips the condition-(3) sweep, and omitting it "
+                         "leaves the sweep without a time bound")
     sp.add_argument("--assume-in-class", action="store_true",
                     help="skip membership certification; verdicts become conditional")
     sp.add_argument("--json", action="store_true", help="machine-readable output")
@@ -404,7 +406,8 @@ def build_parser() -> _Parser:
     _add_params_flags(sp)
     sp.add_argument("--budget", type=int, default=None,
                     help="node budget per membership check; "
-                         "0 skips the condition-(3) sweep")
+                         "0 skips the condition-(3) sweep, and omitting it "
+                         "leaves the sweep without a time bound")
     sp.add_argument("--csv", metavar="OUT.csv", default=None,
                     help="write the table here instead of stdout")
     sp.add_argument("--json", action="store_true", help="machine-readable output")

@@ -23,11 +23,16 @@ questions about cyclic words (conjugacy classes):
   finite relabel group; again by peak reduction, two minimal words of
   the same orbit are always connected inside that level set.
 
-Both searches judge a move by the length of its image core (substitute,
-then reduce freely and cyclically), and rotate an image to its canonical
-form only when they keep it: the next word of a descent, or a new node
-of the level set.  Relabels permute signed letters, so a relabel image
-of a cyclically reduced word is built by mapping letters alone.
+Both searches score moves on the word's cyclic Whitehead graph, which
+has the signed letters as vertices and one edge ``{x, y^-1}`` for each
+cyclic adjacency ``x y``.  A multiplier move of letter ``a`` and cut set
+``S`` changes the cyclic length by the number of edges leaving ``S``
+less the degree of ``a`` (Lyndon-Schupp, *Combinatorial Group Theory*,
+Prop. I.4.16), so one pass over the word scores every move, and an
+image is built only for a move the search keeps: the first shortening
+move of a descent, or a length-preserving move of the level set.
+Relabels permute signed letters, so the canonical form keys the relabel
+images of a cyclically reduced word by mapping letters alone.
 
 Positive answers come with an :class:`OrbitCertificate` whose move
 sequence replays from source to target — certificates are re-verified
@@ -36,7 +41,7 @@ before being returned.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
@@ -53,7 +58,6 @@ from .words import (
     parse_word,
     signed_letters,
     substitute,
-    word_key,
 )
 
 
@@ -187,35 +191,80 @@ def multiplier_moves(m: int) -> tuple[Multiplier, ...]:
     return tuple(moves)
 
 
+@lru_cache(maxsize=8)
+def _cut_edges(m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """For each multiplier move, in :func:`multiplier_moves` order, the
+    ``letter_key`` of its letter and the cells ``u * 2m + v`` of the
+    Whitehead graph's adjacency matrix with ``u`` in the cut set and
+    ``v`` outside it."""
+    n = 2 * m
+    table = []
+    for mv in multiplier_moves(m):
+        inside = [letter_key(x) for x in mv.cut]
+        outside = [v for v in range(n) if v not in inside]
+        table.append((letter_key(mv.letter), tuple(u * n + v for u in inside for v in outside)))
+    return tuple(table)
+
+
+def _length_changes(w: Word, m: int) -> list[int]:
+    """``len(_image_core(w, mv)) - len(w)`` for each multiplier move
+    ``mv``, in :func:`multiplier_moves` order, for a nonempty cyclically
+    reduced ``w``: the edges of the Whitehead graph that leave the cut
+    set, less the degree of the multiplier letter."""
+    n = 2 * m
+    graph = [0] * (n * n)
+    for (x, y), count in Counter(zip(w, w[1:] + w[:1])).items():
+        u, v = letter_key(x), letter_key(-y)
+        graph[u * n + v] += count
+        graph[v * n + u] += count
+    degree = [sum(graph[u * n:(u + 1) * n]) for u in range(n)]
+    return [sum(map(graph.__getitem__, cells)) - degree[a] for a, cells in _cut_edges(m)]
+
+
 def _in_alphabet(letters, m: int) -> bool:
     return all(0 < abs(x) <= m for x in letters)
-
-
-@lru_cache(maxsize=8)
-def _relabel_maps(m: int) -> tuple[dict[int, int], ...]:
-    """Each relabel of rank ``m`` as a map on signed letters."""
-    return tuple(
-        {s * k: s * img for k, img in enumerate(rho.images, start=1) for s in (1, -1)}
-        for rho in relabel_moves(m)
-    )
-
-
-def canonical_orbit_form(w: Word, m: int) -> Word:
-    """Least relabel image of the cyclically reduced word ``w`` (any
-    rotation of it) — a canonical representative of its orbit under the
-    relabel group."""
-    if not _in_alphabet(w, m):
-        raise ValueError(f"word uses letters outside alphabet of rank {m}")
-    return min(
-        (words.canonical_rotation(tuple(map(sigma.__getitem__, w)))
-         for sigma in _relabel_maps(m)),
-        key=word_key,
-    )
 
 
 def _check_alphabet(w: Word, m: int) -> None:
     if not _in_alphabet(w, m):
         raise ValueError(f"word uses letters outside alphabet of rank {m}")
+
+
+@lru_cache(maxsize=8)
+def _relabel_keys(m: int) -> tuple[tuple[int, ...], ...]:
+    """Each relabel of rank ``m`` as a table from signed letter ``x`` to
+    the ``letter_key`` of its image, at index ``x`` (negative indices
+    wrap around, so ``-x`` sits at ``2m + 1 - x``)."""
+    tables = []
+    for rho in relabel_moves(m):
+        table = [0] * (2 * m + 1)
+        for k, img in enumerate(rho.images, start=1):
+            table[k] = letter_key(img)
+            table[-k] = letter_key(-img)
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def canonical_orbit_form(w: Word, m: int) -> Word:
+    """Least relabel image of the cyclically reduced word ``w`` (any
+    rotation of it) — a canonical representative of its orbit under the
+    relabel group.  Each image is keyed once, rotated by Booth's least
+    rotation and compared as keys; only the least is built as a word.
+
+    >>> canonical_orbit_form((2, 2, 1), 2)
+    (1, 1, 2)
+    """
+    _check_alphabet(w, m)
+    if not words.is_cyclically_reduced(w):
+        raise ValueError("canonical_rotation needs a cyclically reduced word")
+    best = None
+    for table in _relabel_keys(m):
+        keys = list(map(table.__getitem__, w))
+        k = words.least_rotation_offset(keys)
+        keys = keys[k:] + keys[:k]
+        if best is None or keys < best:
+            best = keys
+    return tuple(key // 2 + 1 if key % 2 == 0 else -(key // 2 + 1) for key in best)
 
 
 def minimize(w: Word, m: int) -> tuple[Word, tuple]:
@@ -237,14 +286,13 @@ def minimize(w: Word, m: int) -> tuple[Word, tuple]:
         raise ValueError("word must be nontrivial")
     moves = []
     while True:
-        for mv in multiplier_moves(m):
-            core = _image_core(current, mv)
-            if len(core) < len(current):
+        for mv, change in zip(multiplier_moves(m), _length_changes(current, m)):
+            if change < 0:
                 break
         else:
             return current, tuple(moves)
         moves.append(mv)
-        current = words.canonical_rotation(core)
+        current = words.canonical_rotation(_image_core(current, mv))
 
 
 @dataclass(frozen=True)
@@ -318,10 +366,10 @@ def same_orbit(u: Word, v: Word, m: int) -> Optional[OrbitCertificate]:
         if key == canon_inv:
             hit = (x, path, True)
             break
-        for mv in multiplier_moves(m):
-            core = _image_core(x, mv)
-            if len(core) != len(x):
+        for mv, change in zip(multiplier_moves(m), _length_changes(x, m)):
+            if change:
                 continue
+            core = _image_core(x, mv)
             ikey = canonical_orbit_form(core, m)
             if ikey not in visited:
                 visited.add(ikey)

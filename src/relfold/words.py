@@ -288,6 +288,10 @@ def parse_word(text: str, m: int | None = None) -> Word:
     return tuple(out)
 
 
+_LETTER_TEXT = {s * k: chr(ord("a" if s > 0 else "A") + k - 1)
+                for k in range(1, 27) for s in (1, -1)}
+
+
 def format_word(w: Sequence[int]) -> str:
     """Inverse of parse_word; the empty word prints as "1".
 
@@ -296,12 +300,10 @@ def format_word(w: Sequence[int]) -> str:
     """
     if not w:
         return "1"
-    out = []
-    for x in w:
-        if x == 0 or abs(x) > 26:
-            raise ValueError(f"letter {x} has no text form")
-        out.append(chr(ord("a") + x - 1) if x > 0 else chr(ord("A") - x - 1))
-    return "".join(out)
+    try:
+        return "".join(map(_LETTER_TEXT.__getitem__, w))
+    except KeyError as exc:
+        raise ValueError(f"letter {exc.args[0]} has no text form") from None
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,15 @@ from relfold.readability import (
     ReadabilityAnswer,
     ReadabilityQuery,
 )
-from relfold.words import Word, inverse, signed_letters, word_key
+from relfold.whitehead import _image_core, multiplier_moves, relabel_moves
+from relfold.words import (
+    Word,
+    canonical_rotation,
+    cyclic_word,
+    inverse,
+    signed_letters,
+    word_key,
+)
 
 _ORACLE_MAX_LEN = 11
 
@@ -164,6 +172,36 @@ def oracle_least_rotation(w: Word) -> Word:
     if not w:
         return w
     return min((w[o:] + w[:o] for o in range(len(w))), key=word_key)
+
+
+def oracle_minimize(w: Word, m: int) -> tuple[Word, tuple]:
+    """Greedy Whitehead descent that builds the image of every multiplier
+    move it tries and keeps the first strictly shorter one: the reference
+    for :func:`relfold.whitehead.minimize`, which scores moves on the
+    Whitehead graph instead."""
+    current = cyclic_word(w)
+    moves = []
+    while True:
+        for mv in multiplier_moves(m):
+            core = _image_core(current, mv)
+            if len(core) < len(current):
+                break
+        else:
+            return current, tuple(moves)
+        moves.append(mv)
+        current = canonical_rotation(core)
+
+
+def oracle_canonical_orbit_form(w: Word, m: int) -> Word:
+    """Least canonical rotation over all relabel images of the cyclically
+    reduced word ``w``: the reference for
+    :func:`relfold.whitehead.canonical_orbit_form`."""
+    return min(
+        (canonical_rotation(tuple((1 if x > 0 else -1) * rho.images[abs(x) - 1]
+                                  for x in w))
+         for rho in relabel_moves(m)),
+        key=word_key,
+    )
 
 
 def _canonical_class(word: Word, m: int) -> Word:

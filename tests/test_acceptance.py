@@ -237,6 +237,22 @@ def test_criterion_4_orbit_search_at_length_2000():
     report(4, "orbit search at |r| = 2000", t0, 5)
 
 
+def test_criterion_4_minimize_at_rank_4():
+    # ROADMAP item 7's done line: moves are scored on the Whitehead graph,
+    # so only a shortening move's image is built (0.15 s when all 512
+    # images were built).
+    r = random_cyclically_reduced(4, 1000, random.Random(SEED))
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        word, _ = minimize(r, 4)
+        times.append(time.perf_counter() - t0)
+    assert len(word) <= len(r)
+    median = sorted(times)[1]
+    print(f"criterion 4 (minimize at m = 4, |r| = 1000): median {median:.4f}s (budget 0.05s)")
+    assert median < 0.05, f"minimize took {median:.4f}s"
+
+
 def scrambled_tuple(rng, m, moves=10, conj=8):
     """A free basis: elementary Nielsen moves on (a_1..a_m), then conjugate."""
     tpl = [(i,) for i in range(1, m + 1)]

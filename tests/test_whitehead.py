@@ -12,6 +12,8 @@ import pytest
 
 from relfold.whitehead import (
     MAX_MOVE_RANK,
+    _image_core,
+    _length_changes,
     Multiplier,
     OrbitCertificate,
     Relabel,
@@ -35,7 +37,12 @@ from relfold.words import (
     parse_word,
     random_cyclically_reduced,
 )
-from oracles import enumerate_cyclically_reduced, mutate_document
+from oracles import (
+    enumerate_cyclically_reduced,
+    mutate_document,
+    oracle_canonical_orbit_form,
+    oracle_minimize,
+)
 
 PINNED = pathlib.Path(__file__).with_name("whitehead_pinned.json")
 
@@ -50,6 +57,14 @@ def random_cyclic(rng, m, length):
         w = cyclic_word(tuple(rng.choice(letters) for _ in range(length)))
         if w:
             return w
+
+
+# Every cyclically reduced word up to these lengths is checked exhaustively.
+EXHAUSTIVE = ((2, 8), (3, 5))
+
+
+def short_words(m, max_len):
+    return [w for t in range(1, max_len + 1) for w in enumerate_cyclically_reduced(m, t)]
 
 
 def orbit_ball(w, m, cap):
@@ -199,8 +214,16 @@ class TestCanonicalOrbitForm:
 
     def test_rejects_foreign_letters(self):
         for w in [(1, 3), (1, -3), (1, 0, 2)]:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="outside alphabet"):
                 canonical_orbit_form(w, 2)
+
+    def test_rejects_words_not_cyclically_reduced(self):
+        for w in [(1, -1), (1, 2, -1), (2, 1, -1, 1)]:
+            with pytest.raises(ValueError, match="cyclically reduced"):
+                canonical_orbit_form(w, 2)
+
+    def test_empty_word_is_its_own_form(self):
+        assert canonical_orbit_form((), 3) == ()
 
 
 class TestMinimize:
@@ -254,6 +277,49 @@ class TestMinimize:
     def test_rejects_trivial_words(self, w):
         with pytest.raises(ValueError, match="nontrivial"):
             minimize(w, 2)
+
+
+class TestLengthChanges:
+    """A multiplier move's length change is its cut size in the Whitehead
+    graph minus the degree of its letter (Lyndon-Schupp Prop. I.4.16)."""
+
+    @pytest.mark.parametrize("m, max_len", EXHAUSTIVE)
+    def test_equal_materialised_images(self, m, max_len):
+        moves = multiplier_moves(m)
+        for w in short_words(m, max_len):
+            expected = [len(_image_core(w, mv)) - len(w) for mv in moves]
+            assert _length_changes(w, m) == expected, w
+
+
+class TestAgreesWithOracles:
+    """``minimize`` and ``canonical_orbit_form`` give what the searches
+    that build every image and key every rotation give."""
+
+    @pytest.mark.parametrize("m, max_len", EXHAUSTIVE)
+    def test_every_short_word(self, m, max_len):
+        # Both oracles answer the same for every rotation of a word, so
+        # they run once per cyclic word; the searches run on every word.
+        expected = {}
+        for w in short_words(m, max_len):
+            key = cyclic_word(w)
+            if key not in expected:
+                expected[key] = (oracle_minimize(key, m), oracle_canonical_orbit_form(key, m))
+            assert (minimize(w, m), canonical_orbit_form(w, m)) == expected[key], w
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_seeded_long_words(self, m):
+        # Generic words are already minimal, so each is also lengthened by
+        # random multiplier moves to make the descent work.
+        rng = random.Random(f"whitehead/oracles/{m}")
+        moves = multiplier_moves(m)
+        for _ in range(4):
+            w = cyclic_word(random_cyclically_reduced(m, rng.randint(20, 200), rng))
+            v = w
+            for _ in range(3):
+                v = apply_move(v, rng.choice(moves))
+            for x in (w, v):
+                assert minimize(x, m) == oracle_minimize(x, m), x
+                assert canonical_orbit_form(x, m) == oracle_canonical_orbit_form(x, m), x
 
 
 class TestSameOrbit:

@@ -247,6 +247,19 @@ class TestTextForm:
             w = tuple(rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(rng.randrange(10)))
             assert parse_word(format_word(w)) == w
 
+    def test_every_letter_has_its_text(self):
+        text = "abcdefghijklmnopqrstuvwxyz"
+        w = tuple(s * k for k in range(1, 27) for s in (1, -1))
+        assert format_word(w) == "".join(c + c.upper() for c in text)
+        assert parse_word(format_word(w)) == w
+
+    @pytest.mark.parametrize("w, bad", [((0,), 0), ((1, 27), 27), ((-27, 1), -27), ((2, 0, 99), 0)])
+    def test_letters_without_text_raise_value_error(self, w, bad):
+        with pytest.raises(ValueError) as info:
+            format_word(w)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"letter {bad} has no text form"
+
     def test_range_check(self):
         with pytest.raises(ValueError):
             parse_word("abc", m=2)
