@@ -368,8 +368,6 @@ def build_parser() -> _Parser:
     sp.add_argument("presentation", help="presentation file")
     sp.add_argument("words", nargs="+", help="the m tuple entries")
     _add_params_flags(sp)
-    sp.add_argument("--budget", type=int, default=None,
-                    help="accepted for flag symmetry; reduction needs no budget")
     sp.add_argument("--trace", metavar="OUT.json", default=None,
                     help="write the move trace here on a WholeGroup verdict")
     sp.add_argument("--json", action="store_true", help="machine-readable output")

@@ -685,48 +685,43 @@ def _replace_runs(steps: Sequence[tuple], target: Sequence[tuple],
     return tuple(out)
 
 
-def apply_AO(g: FGraph, p1: Path, p_prime: Path, p2: Path, y: Word) -> MoveRecord:
+def apply_AO(g: FGraph, path: Path, i: int, j: int, y: Word) -> MoveRecord:
     """The combined surgery: attach a path labeled y from t(p) to o(p),
-    where p = p1 * p_prime * p2, then remove the edges of p_prime.
+    where p = ``path``, then remove the edges of its span p' = steps[i:j].
 
-    The caller certifies label(p1) label(p_prime) label(p2) y = 1 in the
-    presented group.  Structural requirements: the composite is a reduced
-    path; p_prime is simple, lies inside one maximal arc, shares no edge
-    with p1 or p2, does not contain the base as an interior vertex; and
-    |p_prime| > |y| so the edge count strictly decreases.  An empty y is
-    allowed only when the composite is a closed path (then the move is a
-    pure removal and the rank drops by one; otherwise rank is unchanged).
+    The caller certifies label(p) y = 1 in the presented group.
+    Structural requirements: p is a reduced path; p' is nonempty and
+    simple, lies inside one maximal arc, shares no edge with the rest of
+    p, does not contain the base as an interior vertex; and |p'| > |y| so
+    the edge count strictly decreases.  An empty y is allowed only when p
+    is closed (then the move is a pure removal and the rank drops by one;
+    otherwise rank is unchanged).
     """
-    if not p_prime.steps:
-        raise ValueError("AO requires a nonempty removed path")
-    # compose and validate
-    steps = p1.steps + p_prime.steps + p2.steps
-    start = p1.start if p1.steps else p_prime.start
-    p = Path(start, steps)
-    end = g.path_end(p)  # raises if steps are not consecutive
-    if not g.path_is_reduced(p):
+    if not 0 <= i < j <= len(path.steps):
+        raise ValueError("AO requires a nonempty removed span")
+    start, steps = path.start, path.steps
+    removed = steps[i:j]
+    end = g.path_end(path)  # raises if steps are not consecutive
+    if not g.path_is_reduced(path):
         raise ValueError("path must be reduced")
-    if g.path_end(Path(start, p1.steps)) != p_prime.start:
-        raise ValueError("p1 must end where p_prime starts")
-    pp_edges = [e for e, _ in p_prime.steps]
+    pp_edges = [e for e, _ in removed]
     if len(set(pp_edges)) != len(pp_edges):
-        raise ValueError("AO removed path must be simple")
+        raise ValueError("AO removed span must be simple")
     owner = arc_owner(g)
-    if len({owner[e] for e, _ in p_prime.steps}) != 1:
-        raise ValueError("path must lie inside a single maximal arc")
-    outside = {e for e, _ in p1.steps} | {e for e, _ in p2.steps}
-    if outside & set(pp_edges):
-        raise ValueError("p1/p2 may not share edges with the removed path")
-    if len(p_prime.steps) <= len(y):
-        raise ValueError("AO requires |p_prime| > |y|")
+    if len({owner[e] for e in pp_edges}) != 1:
+        raise ValueError("removed span must lie inside a single maximal arc")
+    if {e for e, _ in steps[:i] + steps[j:]} & set(pp_edges):
+        raise ValueError("the rest of the path may not share edges with the removed span")
+    if len(removed) <= len(y):
+        raise ValueError("AO requires |p'| > |y|")
     if not y and start != end:
         raise ValueError("empty y requires a closed composite path")
-    interior = {g.step_ends(e, d)[1] for e, d in p_prime.steps[:-1]}
+    interior = {g.step_ends(e, d)[1] for e, d in removed[:-1]}
     if g.base in interior:
-        raise ValueError("removed path may not contain the base as interior")
+        raise ValueError("removed span may not contain the base as interior")
 
     pre = g.basis_data()
-    # attach f: t(p) -> o(p) labeled y, then remove p_prime and the
+    # attach f: t(p) -> o(p) labeled y, then remove p' and the
     # interior vertices it leaves isolated
     f_steps = g.add_path(end, start, y)
     for e in pp_edges:
@@ -736,12 +731,12 @@ def apply_AO(g: FGraph, p1: Path, p_prime: Path, p2: Path, y: Word) -> MoveRecor
         g._remove_isolated_vertex(v)
 
     # post loops: each f-run is replaced by the reverse of p; pre loops:
-    # each p_prime-run detours along p1^-1 f^-1 p2^-1
-    detour = reverse_steps(p1.steps) + reverse_steps(f_steps) + reverse_steps(p2.steps)
+    # each p'-run detours along p1^-1 f^-1 p2^-1, where p = p1 p' p2
+    detour = reverse_steps(steps[:i]) + reverse_steps(f_steps) + reverse_steps(steps[j:])
     return _record(
         "AO", g, pre,
-        _walk_lift(lambda steps: _replace_runs(steps, f_steps, reverse_steps(p.steps))),
-        _walk_lift(lambda steps: _replace_runs(steps, p_prime.steps, detour)),
+        _walk_lift(lambda walk: _replace_runs(walk, f_steps, reverse_steps(steps))),
+        _walk_lift(lambda walk: _replace_runs(walk, removed, detour)),
         0 if y else -1,
         detail={"moves": 1,
                 "removed_edges": tuple(pp_edges),

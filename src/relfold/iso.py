@@ -108,6 +108,8 @@ def verdict_jsonable(v: IsoVerdict) -> dict:
 def verdict_from_jsonable(data: dict) -> IsoVerdict:
     """Rebuild a verdict; a malformed document raises ValueError.
 
+    All four keys must be present, so a document that lost its
+    ``conditional`` caveat is refused rather than read as unconditional.
     ``kind`` must name a verdict, ``reason`` be a string or null and
     ``conditional`` a bool (a string "false" would read as True); an
     Isomorphic verdict needs a well-formed certificate and no other kind
@@ -115,8 +117,11 @@ def verdict_from_jsonable(data: dict) -> IsoVerdict:
     """
     if not isinstance(data, dict):
         raise ValueError(f"not a verdict document: {data!r}")
-    kind, reason, cert = data.get("kind"), data.get("reason"), data.get("certificate")
-    conditional = data.get("conditional", False)
+    missing = {"kind", "conditional", "reason", "certificate"} - data.keys()
+    if missing:
+        raise ValueError(f"verdict document lacks {sorted(missing)}")
+    kind, reason, cert = data["kind"], data["reason"], data["certificate"]
+    conditional = data["conditional"]
     if kind not in (ISOMORPHIC, NOT_ISOMORPHIC, INAPPLICABLE):
         raise ValueError(f"bad verdict kind {kind!r}")
     if reason is not None and not isinstance(reason, str):

@@ -259,27 +259,16 @@ def _fire_or_witness(g: FGraph, lrp, p: Presentation, params: ClassParams):
     """Either apply the long-path surgery or emit the failure witness."""
     r = p.relators[lrp.relator_index]
     num, den = params.lam.numerator, params.lam.denominator
-    steps, v, y = lrp.path.steps, lrp.v, lrp.y
-    start = lrp.path.start
-    if not y and g.path_end(lrp.path) != start:
+    path, y = lrp.path, lrp.y
+    if not y and g.path_end(path) != path.start:
         # A full-relator reading that does not close up: withhold the
         # last letter so the attached complement is that single letter.
-        steps, v, y = steps[:-1], v[:-1], (v[-1],)
-    span = _select_window(g, Path(start, steps)) if steps else None
+        path, y = Path(path.start, path.steps[:-1]), (lrp.v[-1],)
+    span = _select_window(g, path) if path.steps else None
     if span is not None and (span[1] - span[0]) * den >= 3 * num * len(r):
-        i, j = span
         if len(y) * den >= 3 * num * len(r):
             raise RuntimeError("surgery complement is too long")
-        mid_start = start if i == 0 else g.path_end(Path(start, steps[:i]))
-        mid_end = g.path_end(Path(start, steps[:j]))
-        record = apply_AO(
-            g,
-            Path(start, steps[:i]),
-            Path(mid_start, steps[i:j]),
-            Path(mid_end, steps[j:]),
-            y,
-        )
-        return record
+        return apply_AO(g, path, *span, y)
     return _build_witness(g, lrp, p, params)
 
 

@@ -14,12 +14,13 @@ every piece q occurring in a symmetrized element r, by exact integer
 cross-multiplication.  ``dehn_reduce`` is the classical word-problem
 procedure for C'(1/6) presentations: while the word contains more than
 half of some symmetrized element, replace that subword by the inverse
-of the complement.  ``find_long_relator_path`` scans a folded graph for
-the longest readable portion of any symmetrized element and reports it
-when it exceeds the (1 - 3 lambda) fraction of its relator.
+of the complement.  ``find_long_relator_path`` finds, in a folded graph,
+the longest readable portion of any symmetrized element that exceeds the
+(1 - 3 lambda) fraction of its relator, walking only the runs through a
+few anchor positions of each doubled relator.
 
 Letters are encoded as single characters (ordered a < a^-1 < b < ...)
-so windows and scans run on Python strings.  Piece windows are counted
+so windows and Dehn's scan run on Python strings.  Piece windows are counted
 afresh for each question: only the encoded relator sides (``_sides``) and
 the ``check_Cprime`` memo outlive a call.
 """
@@ -247,45 +248,51 @@ def find_long_relator_path(g: FGraph, p: Presentation,
                            lam: Fraction) -> Optional[LongRelatorPath]:
     """Longest readable rotation prefix exceeding the (1 - 3 lambda) bound.
 
-    Scans every relator, sign, rotation offset, and start vertex; the
+    Among every relator, sign, rotation offset and start vertex, the
     winner is the longest readable v (capped at |r|), ties resolved by
     relator index, then sign (+1 first), then offset, then vertex id.
     Returns None when no candidate beats its relator's bound.
+
+    A candidate of ``need`` letters or more that starts before |r| reads
+    one of the anchors 0, gap, 2 gap, ... < |r| + gap - 1 of the doubled
+    relator (gap = max(need, 1)).  A folded graph reads deterministically
+    both ways, so walking back from an (anchor, vertex) pair reaches the
+    start of the one run through it, which is the run's best candidate; a
+    walk back to the previous anchor finds a run scored there.
     """
     if not g.is_folded():
         raise ValueError("long-relator scan requires a folded graph")
     lam = Fraction(lam)
     num, den = lam.numerator, lam.denominator
-    vertices = sorted(g.vertices)
-    best = None  # (len_v, i, sign, offset, vertex)
+    step = {}  # (vertex, letter) -> vertex
+    for o, t, x in g.edges.values():
+        step[o, x], step[t, -x] = t, o
+    best = None  # (-len_v, i, -sign, offset, vertex)
     for i, r in enumerate(p.relators):
         L = len(r)
+        need = (den - 3 * num) * L // den + 1  # least len_v beating the bound
+        gap = max(need, 1)
         for sign in (1, -1):
             base = r if sign == 1 else inverse(r)
             xx = base + base
-            # ext[pos][v] = letters of xx readable from position pos at v
-            nxt_row: dict[int, int] = {}
-            rows = [None] * (2 * L)
-            for pos in range(2 * L - 1, -1, -1):
-                x = xx[pos]
-                row: dict[int, int] = {}
-                for v in vertices:
-                    step = g._step_from(v, x)
-                    if step is not None:
-                        row[v] = 1 + nxt_row.get(step[1], 0)
-                rows[pos] = row
-                nxt_row = row
-            for offset in range(L):
-                row = rows[offset]
-                for v in vertices:
-                    len_v = min(row.get(v, 0), L)
-                    if len_v * den <= (den - 3 * num) * L:
+            for anchor in range(0, L + gap - 1, gap):
+                for v in g.vertices:
+                    s, u = anchor, v
+                    while (s > max(anchor - gap, 0)
+                           and (prev := step.get((u, -xx[s - 1]))) is not None):
+                        s, u = s - 1, prev
+                    if s == anchor - gap or s >= L:
                         continue
-                    if best is None or len_v > best[0]:
-                        best = (len_v, i, sign, offset, v)
+                    len_v, w = 0, u
+                    while len_v < L and (w := step.get((w, xx[s + len_v]))) is not None:
+                        len_v += 1
+                    if len_v >= need:
+                        key = (-len_v, i, -sign, s, u)
+                        best = key if best is None else min(best, key)
     if best is None:
         return None
     len_v, i, sign, offset, v0 = best
+    len_v, sign = -len_v, -sign
     r = p.relators[i]
     base = r if sign == 1 else inverse(r)
     rotation = base[offset:] + base[:offset]

@@ -2,8 +2,9 @@
 transfer-matrix counts and draws of cyclically reduced words, least
 rotation, readability of short words, the readability search with its
 old memo of failed states, one-move-at-a-time folding and
-stripping, maximal arcs by walking, and pieces by pairwise prefixes; and
-the document mutator of the fuzz tests.
+stripping, maximal arcs by walking, pieces by pairwise prefixes, and the
+long-relator scan by a table over every position and vertex; and the
+document mutator of the fuzz tests.
 
 ``oracle_is_readable`` does not search partial walks the way
 :func:`relfold.readability.is_readable` does.  A path spelling the word
@@ -49,6 +50,7 @@ from relfold.readability import (
     ReadabilityAnswer,
     ReadabilityQuery,
 )
+from relfold.smallcancel import LongRelatorPath
 from relfold.whitehead import _image_core, multiplier_moves, relabel_moves
 from relfold.words import (
     Word,
@@ -543,6 +545,59 @@ def oracle_cprime(p, lam):
             if j == i and reach >= k:
                 return False, w[:k], i, Fraction(k, len(r))
     return True, None, None, None
+
+
+def oracle_long_relator_path(g, p, lam):
+    """The long-relator scan as it was before the anchor scan: a table of
+    readable lengths per position of the doubled relator over every vertex,
+    then every offset scored; the reference for
+    :func:`relfold.smallcancel.find_long_relator_path`."""
+    if not g.is_folded():
+        raise ValueError("long-relator scan requires a folded graph")
+    lam = Fraction(lam)
+    num, den = lam.numerator, lam.denominator
+    vertices = sorted(g.vertices)
+    best = None  # (len_v, i, sign, offset, vertex)
+    for i, r in enumerate(p.relators):
+        L = len(r)
+        for sign in (1, -1):
+            base = r if sign == 1 else inverse(r)
+            xx = base + base
+            # ext[pos][v] = letters of xx readable from position pos at v
+            nxt_row: dict[int, int] = {}
+            rows = [None] * (2 * L)
+            for pos in range(2 * L - 1, -1, -1):
+                x = xx[pos]
+                row: dict[int, int] = {}
+                for v in vertices:
+                    step = g._step_from(v, x)
+                    if step is not None:
+                        row[v] = 1 + nxt_row.get(step[1], 0)
+                rows[pos] = row
+                nxt_row = row
+            for offset in range(L):
+                row = rows[offset]
+                for v in vertices:
+                    len_v = min(row.get(v, 0), L)
+                    if len_v * den <= (den - 3 * num) * L:
+                        continue
+                    if best is None or len_v > best[0]:
+                        best = (len_v, i, sign, offset, v)
+    if best is None:
+        return None
+    len_v, i, sign, offset, v0 = best
+    r = p.relators[i]
+    base = r if sign == 1 else inverse(r)
+    rotation = base[offset:] + base[:offset]
+    v_word, y_word = rotation[:len_v], rotation[len_v:]
+    path = g.trace_word(v0, v_word)
+    if path is None or g.path_label(path) != v_word:
+        raise RuntimeError("the long relator path does not read back")
+    L = len(r)
+    if len_v * den <= (den - 3 * num) * L:
+        raise RuntimeError("the long relator path is too short")
+    return LongRelatorPath(path=path, relator_index=i, sign=sign,
+                           offset=offset, v=v_word, y=y_word)
 
 
 FUZZ_VALUES = (None, True, 1.5, "x", "1", "", [], {}, [0], 0, -1, 3, 10**6, -(10**6))

@@ -343,6 +343,29 @@ def test_criterion_5_nielsen_driver_at_2600_letters():
     report(5, f"reduce + verify at {sum(map(len, tpl))} letters, {size} B trace", t0, 10)
 
 
+def test_criterion_5_reduce_relator_at_5000():
+    # The tuple carries the relator, so the long-relator scan and an AO
+    # surgery run on a 5000-vertex loop.  A table over every position and
+    # vertex took about 1 s at |r| = 1000 and 3.8 s at |r| = 2000 (2-core
+    # host, Python 3.11.7).
+    params = default_params(2)
+    rng = random.Random(SEED + 50)
+    while True:
+        r = random_cyclically_reduced(2, 5000, rng)
+        if is_proper_power(r):
+            continue
+        p = Presentation(A2, (r,))
+        if check_Cprime(p, params.lam).ok:
+            break
+    tpl = (free_reduce(concat((2,), r, (-2, 1))), (2,))
+    t0 = time.monotonic()
+    verdict = reduce_tuple(tpl, p, params)
+    assert verdict.kind == WHOLE_GROUP
+    assert "AO" in [rec.kind for rec, _ in verdict.trace.steps]
+    assert verify_trace(verdict.trace, p)
+    report(5, "reduce + verify of (b·r·b⁻¹·a, b) at |r| = 5000", t0, 1)
+
+
 def test_criterion_6_driver_self_certification():
     t0 = time.monotonic()
     params = default_params(2)

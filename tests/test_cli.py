@@ -176,6 +176,12 @@ class TestReduce:
         assert run_cli(["reduce", pres, "a", *SMOOTH_FLAGS]) == EX_USAGE
         assert "arity" in capsys.readouterr().err
 
+    def test_budget_flag_is_refused(self, tmp_path, capsys, smooth_relator):
+        # reduction takes no budget, so the flag is not accepted
+        pres = write_presentation(tmp_path / "p.txt", 2, smooth_relator)
+        assert run_cli(["reduce", pres, "aB", "b", *SMOOTH_FLAGS, "--budget", "5"]) == EX_USAGE
+        assert "--budget" in capsys.readouterr().err
+
 
 class TestVerify:
     def make_trace(self, tmp_path, smooth_relator):

@@ -416,8 +416,7 @@ class TestAO:
     def test_ao_replaces_long_path_with_short_edge(self):
         g = self.build_cycle_with_chord()
         # relation: aa = b, i.e. label(p') * y = aab^-1 = 1 with y = b^-1
-        p_prime = Path(0, ((0, 1), (1, 1)))
-        rec = apply_AO(g, Path(0, ()), p_prime, Path(2, ()), (-2,))
+        rec = apply_AO(g, Path(0, ((0, 1), (1, 1))), 0, 2, (-2,))
         assert g.num_edges() == 2
         assert g.num_vertices() == 2
         assert g.rank() == 1
@@ -437,45 +436,46 @@ class TestAO:
         g = FGraph.from_edges([(0, 1, 1), (1, 0, 2), (0, 2, 1), (2, 0, 2)],
                               base=0)
         rank_pre = g.rank()
-        p_prime = Path(0, ((2, 1), (3, 1)))
-        p1 = Path(0, ((0, 1), (1, 1)))  # closed composite: p1 then p_prime
-        rec = apply_AO(g, p1, p_prime, Path(0, ()), ())
+        # closed composite: the first loop, then the removed second loop
+        rec = apply_AO(g, Path(0, ((0, 1), (1, 1), (2, 1), (3, 1))), 2, 4, ())
         assert g.rank() == rank_pre - 1
         assert g.num_edges() == 2
         assert g.edges == {0: (0, 1, 1), 1: (1, 0, 2)}  # nothing attached
         assert g.vertices == {0, 1}
         assert rec.detail["removed_vertices"] == (2,)
 
+    @pytest.mark.parametrize("span", [(0, 0), (1, 1), (2, 1), (-1, 2), (0, 3)])
+    def test_ao_requires_nonempty_span_of_the_path(self, span):
+        g = self.build_cycle_with_chord()
+        with pytest.raises(ValueError):
+            apply_AO(g, Path(0, ((0, 1), (1, 1))), *span, ())
+        assert len(g.edges) == 3
+
     def test_ao_requires_shortening(self):
         g = self.build_cycle_with_chord()
-        p_prime = Path(0, ((0, 1),))
         with pytest.raises(ValueError):
-            apply_AO(g, Path(0, ()), p_prime, Path(1, ()), (1,))
+            apply_AO(g, Path(0, ((0, 1),)), 0, 1, (1,))
 
     def test_ao_empty_y_needs_closed_path(self):
         g = self.build_cycle_with_chord()
-        p_prime = Path(0, ((0, 1), (1, 1)))
         with pytest.raises(ValueError):
-            apply_AO(g, Path(0, ()), p_prime, Path(2, ()), ())
+            apply_AO(g, Path(0, ((0, 1), (1, 1))), 0, 2, ())
 
     def test_ao_protects_base_interior(self):
         g = FGraph.from_edges([(0, 1, 1), (1, 2, 1), (0, 2, 2)], base=1)
-        p_prime = Path(0, ((0, 1), (1, 1)))
         with pytest.raises(ValueError):
-            apply_AO(g, Path(0, ()), p_prime, Path(2, ()), (-2,))
+            apply_AO(g, Path(0, ((0, 1), (1, 1))), 0, 2, (-2,))
 
     def test_ao_removed_path_must_be_inside_one_arc(self):
         g = bouquet([(1,), (2,)])
-        p_prime = Path(0, ((0, 1), (1, 1)))
         with pytest.raises(ValueError):
-            apply_AO(g, Path(0, ()), p_prime, Path(0, ()), (1,))
+            apply_AO(g, Path(0, ((0, 1), (1, 1))), 0, 2, (1,))
 
     def test_ao_edge_count_change(self):
         # replace a three-edge run by a two-letter word
         g = FGraph.from_edges(
             [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 2)], base=0)
-        p_prime = Path(0, ((0, 1), (1, 1), (2, 1)))
-        rec = apply_AO(g, Path(0, ()), p_prime, Path(3, ()), (-2, -2))
+        rec = apply_AO(g, Path(0, ((0, 1), (1, 1), (2, 1))), 0, 3, (-2, -2))
         assert g.num_edges() == 4 - 3 + 2
         assert g.rank() == 1
         # the b^-1 b^-1 bypass runs 3 -> 4 -> 0 on two fresh edges

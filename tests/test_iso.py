@@ -11,6 +11,7 @@ from relfold.iso import (
     INAPPLICABLE,
     ISOMORPHIC,
     NOT_ISOMORPHIC,
+    IsoVerdict,
     decide_isomorphic,
     verdict_from_jsonable,
     verdict_jsonable,
@@ -243,6 +244,18 @@ class TestSerialization:
     def test_decoder_rejects_malformed_documents(self, data):
         with pytest.raises(ValueError):
             verdict_from_jsonable(data)
+
+    @pytest.mark.parametrize("key", ["kind", "conditional", "reason", "certificate"])
+    def test_decoder_requires_every_key(self, key):
+        # without the key, {"kind": "NotIsomorphic"} once decoded as an
+        # unconditional verdict, dropping the caveat
+        for v in (isomorphic_verdict(),
+                  IsoVerdict(NOT_ISOMORPHIC, reason="x", conditional=True)):
+            data = verdict_jsonable(v)
+            assert verdict_from_jsonable(data) == v
+            del data[key]
+            with pytest.raises(ValueError):
+                verdict_from_jsonable(data)
 
     @pytest.mark.parametrize("kind", [NOT_ISOMORPHIC, INAPPLICABLE])
     def test_decoder_rejects_certificate_on_other_kinds(self, kind):

@@ -653,3 +653,67 @@ class TestPinnedTraces:
                 kinds = [step["kind"] for step in rec["document"]["steps"]]
                 assert len(kinds) < len(old["document"]["steps"]), rec["case"]
                 assert ["Fold", "Fold"] not in [kinds[i:i + 2] for i in range(len(kinds))]
+
+
+RELATOR_PINNED = pathlib.Path(__file__).with_name("relator_pinned.json")
+
+
+@lru_cache(maxsize=None)
+def class_presentation(m: int, seed: int, length: int = 1000) -> Presentation:
+    """A one-relator presentation passing the class prechecks at
+    ``default_params(m)``."""
+    rng = random.Random(seed)
+    while True:
+        r = random_cyclically_reduced(m, length, rng)
+        if is_proper_power(r):
+            continue
+        p = Presentation(Alphabet(m), (r,))
+        if check_Cprime(p, default_params(m).lam).ok:
+            return p
+
+
+def relator_pinned_cases():
+    """Reductions whose tuples carry a |r| = 1000 class relator, so the
+    long-relator scan and AO surgery run: (name, presentation, params,
+    tuple).  At m = 2: (r·a, b), (b·r·b⁻¹·a, b), (r·r·a, b), whose loop
+    reads the relator more than once around, and (r[:960]·a, b), which
+    reads 960 letters of it and ends CertifiedFree.  At m = 3:
+    (r·a, b, c) and (a, c·r⁻¹·c⁻¹·b, c)."""
+    p2, p3 = class_presentation(2, 1501), class_presentation(3, 1502)
+    r2, r3 = p2.relators[0], p3.relators[0]
+    a, b, c = (1,), (2,), (3,)
+    cases = [
+        ("relator/2", p2, (concat(r2, a), b)),
+        ("conjugated-relator/2", p2, (concat(b, r2, inverse(b), a), b)),
+        ("relator-twice/2", p2, (concat(r2, r2, a), b)),
+        ("partial-relator/2", p2, (concat(r2[:960], a), b)),
+        ("relator/3", p3, (concat(r3, a), b, c)),
+        ("conjugated-relator/3", p3, (a, concat(c, inverse(r3), inverse(c), b), c)),
+    ]
+    return [(name, p, default_params(p.alphabet.m), tuple(free_reduce(w) for w in tpl))
+            for name, p, tpl in cases]
+
+
+def relator_pinned_text() -> str:
+    return json.dumps([pinned_record(*c) for c in relator_pinned_cases()],
+                      indent=1, sort_keys=True) + "\n"
+
+
+class TestRelatorPinnedTraces:
+    """``relator_pinned.json`` holds what the reduction driver gave on
+    :func:`relator_pinned_cases` with the table scan that the anchor scan
+    replaced; the documents must stay byte-identical.  Regenerate it only
+    on purpose, with :func:`relator_pinned_text`."""
+
+    def test_outputs_match_recording(self):
+        assert relator_pinned_text() == RELATOR_PINNED.read_text()
+
+    def test_recorded_traces_verify(self):
+        recorded = json.loads(RELATOR_PINNED.read_text())
+        kinds = {rec["case"]: rec["kind"] for rec in recorded}
+        assert kinds["partial-relator/2"] == CERTIFIED_FREE
+        for rec, (_, p, _, _) in zip(recorded, relator_pinned_cases()):
+            if rec["kind"] == WHOLE_GROUP:
+                steps = rec["document"]["steps"]
+                assert "AO" in [step["kind"] for step in steps], rec["case"]
+                assert verify_trace(trace_from_jsonable(rec["document"]), p), rec["case"]

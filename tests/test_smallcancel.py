@@ -26,7 +26,7 @@ from relfold.words import (
     inverse,
     random_cyclically_reduced,
 )
-from oracles import oracle_cprime, oracle_max_piece
+from oracles import oracle_cprime, oracle_long_relator_path, oracle_max_piece
 
 A2 = Alphabet(2)
 A4 = Alphabet(4)
@@ -260,7 +260,77 @@ def oracle_long_path(g, p, lam):
     return best
 
 
+SCAN_LAMBDAS = tuple(Fraction(1, q) for q in (63, 20, 9, 7, 3, 2, 1))
+
+
+def scan_case(rng):
+    """A presentation (m = 2 or 3, 1-3 relators of length 1-120) and a
+    folded graph for it: a folded bouquet of random words and of stretches
+    of the relators' rotations and inverses, an edgeless vertex, or loops
+    on a letter that no relator reads."""
+    m = rng.choice((2, 3))
+    # a fifth of the relators leave out the letter m
+    rels = tuple(random_cyclically_reduced(m - (rng.random() < 0.2), rng.randint(1, 120), rng)
+                 for _ in range(rng.randint(1, 3)))
+    p = Presentation(Alphabet(m), rels)
+    shape = rng.random()
+    if shape < 0.05:
+        g = FGraph()
+        g.base = g.add_vertex()
+        return p, g
+    if shape < 0.1 and any(m not in map(abs, r) for r in rels):
+        g = bouquet([(m,) * rng.randint(1, 3), (-m, -m)])
+        fold_all(g)
+        return p, g
+    ws = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.3:
+            ws.append(random_cyclically_reduced(m, rng.randint(1, 20), rng))
+            continue
+        r = rng.choice(rels)
+        base = r if rng.random() < 0.5 else inverse(r)
+        k = rng.randrange(len(base))
+        stretch = (base[k:] + base[:k]) * 2
+        w = free_reduce(stretch[:rng.randint(1, len(base) + 4)]
+                        + random_cyclically_reduced(m, rng.randint(1, 6), rng))
+        ws.append(w or (1,))
+    g = bouquet(ws)
+    fold_all(g)
+    return p, g
+
+
 class TestLongRelatorPath:
+    def test_matches_table_oracle(self):
+        """The anchor scan gives the old table scan's whole result, path
+        included, on every lambda; above 1/3 the bound is negative, so a
+        graph that reads no relator letter gives the zero-length path."""
+        rng = random.Random(2024)
+        empty = 0
+        for _ in range(60):
+            p, g = scan_case(rng)
+            for lam in SCAN_LAMBDAS:
+                expected = oracle_long_relator_path(g, p, lam)
+                assert find_long_relator_path(g, p, lam) == expected, (p, g.dump(), lam)
+                empty += expected is not None and expected.v == ()
+        assert empty > 0
+
+    def test_scan_memory_at_length_2000(self):
+        # the graph of (b·r·b⁻¹·a, b) reads the whole relator along a
+        # 2000-vertex loop; a table over every position and vertex peaked
+        # at about 140 MB on such a graph
+        r = random_cyclically_reduced(2, 2000, random.Random(2000))
+        g = bouquet([free_reduce(concat((2,), r, (-2, 1))), (2,)])
+        fold_all(g)
+        p = Presentation(A2, (r,))
+        tracemalloc.start()
+        try:
+            res = find_long_relator_path(g, p, Fraction(1, 63))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res is not None and res.v == r
+        assert peak < 5 * 2**20, peak
+
     def test_alphabet_bouquet_reads_whole_relator(self):
         g = bouquet([(1,), (2,)])
         p = Presentation(A2, ((1, 1, 2, 2),))
