@@ -251,7 +251,9 @@ def find_long_relator_path(g: FGraph, p: Presentation,
     Among every relator, sign, rotation offset and start vertex, the
     winner is the longest readable v (capped at |r|), ties resolved by
     relator index, then sign (+1 first), then offset, then vertex id.
-    Returns None when no candidate beats its relator's bound.
+    Returns None when no candidate beats its relator's bound.  From
+    lambda = 1/3 up the bound is at most 0 and rules nothing out, so such
+    a lambda raises ``ValueError``.
 
     A candidate of ``need`` letters or more that starts before |r| reads
     one of the anchors 0, gap, 2 gap, ... < |r| + gap - 1 of the doubled
@@ -263,6 +265,8 @@ def find_long_relator_path(g: FGraph, p: Presentation,
     if not g.is_folded():
         raise ValueError("long-relator scan requires a folded graph")
     lam = Fraction(lam)
+    if lam >= Fraction(1, 3):
+        raise ValueError(f"long-relator scan needs lambda < 1/3, got {lam}")
     num, den = lam.numerator, lam.denominator
     step = {}  # (vertex, letter) -> vertex
     for o, t, x in g.edges.values():

@@ -30,9 +30,30 @@ cyclic adjacency ``x y``.  A multiplier move of letter ``a`` and cut set
 less the degree of ``a`` (Lyndon-Schupp, *Combinatorial Group Theory*,
 Prop. I.4.16), so one pass over the word scores every move, and an
 image is built only for a move the search keeps: the first shortening
-move of a descent, or a length-preserving move of the level set.
-Relabels permute signed letters, so the canonical form keys the relabel
-images of a cyclically reduced word by mapping letters alone.
+move of a descent, or a length-preserving move of the level set.  Two
+kinds of multiplier move fix every cyclic word: a cut of the letter
+alone is the identity, and a cut of every letter but the multiplier's
+inverse is conjugation by it; the level set skips both.
+
+The canonical form of a cyclic word is its least relabel image over all
+rotations.  It is found without listing the 2^m * m! relabels:
+
+1. *Greedy is least for a fixed start.*  Map each generator, at its
+   first occurrence, to the next unused generator, with the sign that
+   makes the image letter positive.  The letters before it are already
+   fixed, and that is the least letter a relabel can still put there,
+   so this image is the least relabel image of that rotation.
+2. *The least image starts at a longest run.*  From the start of a run
+   of L equal letters the greedy image reads ``a^L`` and then ``b``,
+   because a cyclically reduced word never follows a letter by its
+   inverse; so a longer first run gives a smaller image, and only the
+   starts of the longest runs are candidates.  Of those, only the ones
+   whose greedy images begin with the least L + 2m letters can win.
+3. *Grouping by relabel is exact.*  The least rotation of one relabel's
+   image is at most the greedy image of every candidate with that
+   relabel, and at least the least image, being itself a relabel image
+   of a rotation.  So one Booth pass per distinct greedy relabel finds
+   the least image.
 
 Positive answers come with an :class:`OrbitCertificate` whose move
 sequence replays from source to target — certificates are re-verified
@@ -148,8 +169,8 @@ def apply_move(w: Word, mv) -> Word:
 # The relabel group has 2^m * m! elements and there are 2m * 4^(m-1)
 # multiplier moves.  At rank 6 that is 46,080 and 12,288 moves, built in
 # under a second; rank 7 needs 645,120 relabels (about 130 MB), and every
-# canonical form applies all of them.  Larger ranks are refused before
-# anything is built.
+# descent and level-set node scores all 57,344 multiplier moves.  Larger
+# ranks are refused before anything is built.
 MAX_MOVE_RANK = 6
 
 
@@ -230,26 +251,68 @@ def _check_alphabet(w: Word, m: int) -> None:
         raise ValueError(f"word uses letters outside alphabet of rank {m}")
 
 
-@lru_cache(maxsize=8)
-def _relabel_keys(m: int) -> tuple[tuple[int, ...], ...]:
-    """Each relabel of rank ``m`` as a table from signed letter ``x`` to
-    the ``letter_key`` of its image, at index ``x`` (negative indices
-    wrap around, so ``-x`` sits at ``2m + 1 - x``)."""
-    tables = []
-    for rho in relabel_moves(m):
-        table = [0] * (2 * m + 1)
-        for k, img in enumerate(rho.images, start=1):
-            table[k] = letter_key(img)
-            table[-k] = letter_key(-img)
-        tables.append(tuple(table))
-    return tuple(tables)
+def _greedy_relabels(w: Word, m: int) -> set[tuple[int, ...]]:
+    """The greedy relabels of those starts of the longest runs (of L
+    letters) in the cyclic word ``w`` whose greedy images begin with the
+    least L + 2m letters.  A relabel is the signed image of each
+    generator 1..m, with 0 for a generator that ``w`` does not use.  One
+    backward sweep carries the next occurrence of every generator."""
+    n = len(w)
+    cuts = [i for i in range(n) if w[i] != w[i - 1]]
+    if cuts:
+        lengths = [b - a for a, b in zip(cuts, cuts[1:] + [cuts[0] + n])]
+        top = max(lengths)
+        starts = {a for a, length in zip(cuts, lengths) if length == top}
+    else:  # a power of one letter
+        top, starts = n, {0}
+    size = min(top + 2 * m, n)
+    ww = w + w[:size]
+    gens = [abs(x) for x in w]
+    used = set(gens)
+    nxt = [0] * (m + 1)
+    for g in used:
+        nxt[g] = n + gens.index(g)
+    least, relabels = None, set()
+    for j in range(n - 1, -1, -1):
+        nxt[gens[j]] = j
+        if j in starts:
+            images = [0] * m
+            for rank, g in enumerate(sorted(used, key=nxt.__getitem__), start=1):
+                images[g - 1] = rank if w[nxt[g] % n] > 0 else -rank
+            prefix = [letter_key(images[x - 1] if x > 0 else -images[-x - 1])
+                      for x in ww[j:j + size]]
+            if least is None or prefix < least:
+                least, relabels = prefix, {tuple(images)}
+            elif prefix == least:
+                relabels.add(tuple(images))
+    return relabels
+
+
+def _least_images(w: Word, m: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The ``letter_key`` list of the least relabel image of the cyclic
+    word ``w``, and the greedy relabels that reach it."""
+    best, winners = [], []
+    for images in _greedy_relabels(w, m):
+        table = [0] * (2 * m + 1)  # signed letter -> key of its image
+        for g, img in enumerate(images, start=1):
+            if img:
+                table[g], table[-g] = letter_key(img), letter_key(-img)
+        keys = list(map(table.__getitem__, w))
+        k = words.least_rotation_offset(keys)
+        keys = keys[k:] + keys[:k]
+        if not winners or keys < best:
+            best, winners = keys, [images]
+        elif keys == best:
+            winners.append(images)
+    return best, winners
 
 
 def canonical_orbit_form(w: Word, m: int) -> Word:
     """Least relabel image of the cyclically reduced word ``w`` (any
     rotation of it) — a canonical representative of its orbit under the
-    relabel group.  Each image is keyed once, rotated by Booth's least
-    rotation and compared as keys; only the least is built as a word.
+    relabel group.  The distinct greedy relabels of the candidate starts
+    get one Booth pass each (see the module docstring), so the cost is
+    O(m log m * |w| + d * |w|) for d such relabels.
 
     >>> canonical_orbit_form((2, 2, 1), 2)
     (1, 1, 2)
@@ -257,14 +320,28 @@ def canonical_orbit_form(w: Word, m: int) -> Word:
     _check_alphabet(w, m)
     if not words.is_cyclically_reduced(w):
         raise ValueError("canonical_rotation needs a cyclically reduced word")
-    best = None
-    for table in _relabel_keys(m):
-        keys = list(map(table.__getitem__, w))
-        k = words.least_rotation_offset(keys)
-        keys = keys[k:] + keys[:k]
-        if best is None or keys < best:
-            best = keys
+    best, _ = _least_images(w, m)
     return tuple(key // 2 + 1 if key % 2 == 0 else -(key // 2 + 1) for key in best)
+
+
+def _closing_relabel(x: Word, target: Word, m: int) -> Relabel:
+    """The first relabel in :func:`relabel_moves` order that carries the
+    cyclic word ``x`` to ``target``, which has the same canonical form.
+    On the generators x uses, such a relabel is one of x's winning greedy
+    relabels followed by the inverse of one of target's; the generators x
+    misses take the least unused generators, positively."""
+    _, sigmas = _least_images(x, m)
+    _, (tau, *_) = _least_images(target, m)
+    back = {abs(img): g if img > 0 else -g for g, img in enumerate(tau, start=1) if img}
+    best = None
+    for sigma in sigmas:
+        images = [back[abs(img)] * (1 if img > 0 else -1) if img else 0 for img in sigma]
+        free = iter(sorted(set(range(1, m + 1)) - set(map(abs, images))))
+        images = tuple(y or next(free) for y in images)
+        order = (tuple(map(abs, images)), tuple(y < 0 for y in images))
+        if best is None or order < best[0]:
+            best = (order, images)
+    return Relabel(best[1])
 
 
 def minimize(w: Word, m: int) -> tuple[Word, tuple]:
@@ -367,7 +444,7 @@ def same_orbit(u: Word, v: Word, m: int) -> Optional[OrbitCertificate]:
             hit = (x, path, True)
             break
         for mv, change in zip(multiplier_moves(m), _length_changes(x, m)):
-            if change:
+            if change or len(mv.cut) in (1, 2 * m - 1):  # fixes every cyclic word
                 continue
             core = _image_core(x, mv)
             ikey = canonical_orbit_form(core, m)
@@ -381,12 +458,7 @@ def same_orbit(u: Word, v: Word, m: int) -> Optional[OrbitCertificate]:
     target_word = target_inv if inverted else target_fwd
     moves = tuple(moves_u) + tuple(path)
     if x != target_word:
-        for closing in relabel_moves(m):
-            if apply_move(x, closing) == target_word:
-                break
-        else:
-            raise RuntimeError("canonical forms matched but no relabel closes the gap")
-        moves = moves + (closing,)
+        moves = moves + (_closing_relabel(x, target_word, m),)
 
     tail = tuple(invert_move(mv) for mv in reversed(moves_v))
     cert = OrbitCertificate(

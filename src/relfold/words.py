@@ -201,16 +201,6 @@ def cyclic_word(w: Sequence[int]) -> Word:
     return canonical_rotation(core)
 
 
-def cyclic_permutations(w: Sequence[int]) -> list[Word]:
-    """All rotations of a nonempty cyclically reduced word, in offset order."""
-    w = tuple(w)
-    if not w:
-        raise ValueError("empty word has no rotations")
-    if not is_cyclically_reduced(w):
-        raise ValueError("cyclic_permutations needs a cyclically reduced word")
-    return [w[o:] + w[:o] for o in range(len(w))]
-
-
 def power_decomposition(w: Sequence[int]) -> tuple[Word, int]:
     """Write a cyclically reduced word as ``root^k`` with ``k`` maximal.
 

@@ -1,10 +1,11 @@
 """Independent brute-force oracles for the tests: word enumeration, the
-transfer-matrix counts and draws of cyclically reduced words, least
-rotation, readability of short words, the readability search with its
-old memo of failed states, one-move-at-a-time folding and
-stripping, maximal arcs by walking, pieces by pairwise prefixes, and the
-long-relator scan by a table over every position and vertex; and the
-document mutator of the fuzz tests.
+transfer-matrix counts and draws of cyclically reduced words, every
+rotation and the least rotation, the Whitehead descent, orbit form and
+closing relabel by enumeration, readability of short words, the
+readability search with its old memo of failed states,
+one-move-at-a-time folding and stripping, maximal arcs by walking,
+pieces by pairwise prefixes, and the long-relator scan by a table over
+every position and vertex; and the document mutator of the fuzz tests.
 
 ``oracle_is_readable`` does not search partial walks the way
 :func:`relfold.readability.is_readable` does.  A path spelling the word
@@ -51,12 +52,13 @@ from relfold.readability import (
     ReadabilityQuery,
 )
 from relfold.smallcancel import LongRelatorPath
-from relfold.whitehead import _image_core, multiplier_moves, relabel_moves
+from relfold.whitehead import _image_core, apply_move, multiplier_moves, relabel_moves
 from relfold.words import (
     Word,
     canonical_rotation,
     cyclic_word,
     inverse,
+    is_cyclically_reduced,
     signed_letters,
     word_key,
 )
@@ -166,6 +168,16 @@ def oracle_random_cyclically_reduced_up_to(m: int, t: int, rng) -> Word:
     raise RuntimeError("unreachable")
 
 
+def cyclic_permutations(w: Word) -> list[Word]:
+    """All rotations of a nonempty cyclically reduced word, in offset order."""
+    w = tuple(w)
+    if not w:
+        raise ValueError("empty word has no rotations")
+    if not is_cyclically_reduced(w):
+        raise ValueError("cyclic_permutations needs a cyclically reduced word")
+    return [w[o:] + w[:o] for o in range(len(w))]
+
+
 def oracle_least_rotation(w: Word) -> Word:
     """Least rotation under a < A < b < B < ..., by building and comparing
     every rotation: O(n^2), the reference for
@@ -204,6 +216,16 @@ def oracle_canonical_orbit_form(w: Word, m: int) -> Word:
          for rho in relabel_moves(m)),
         key=word_key,
     )
+
+
+def oracle_closing_relabel(x: Word, target: Word, m: int):
+    """The first relabel in ``relabel_moves`` order that carries the cyclic
+    word ``x`` to ``target``, by trying each in turn: the reference for
+    :func:`relfold.whitehead._closing_relabel`."""
+    for closing in relabel_moves(m):
+        if apply_move(x, closing) == target:
+            return closing
+    raise ValueError("no relabel carries x to target")
 
 
 def _canonical_class(word: Word, m: int) -> Word:

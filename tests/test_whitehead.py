@@ -7,11 +7,15 @@ import random
 import subprocess
 import sys
 from collections import deque
+from fractions import Fraction
 
 import pytest
 
+from relfold import whitehead, words
+from relfold.smallcancel import Presentation, check_Cprime
 from relfold.whitehead import (
     MAX_MOVE_RANK,
+    _closing_relabel,
     _image_core,
     _length_changes,
     Multiplier,
@@ -31,9 +35,11 @@ from relfold.whitehead import (
     verify_certificate,
 )
 from relfold.words import (
+    Alphabet,
     cyclic_word,
     format_word,
     inverse,
+    is_proper_power,
     parse_word,
     random_cyclically_reduced,
 )
@@ -41,6 +47,7 @@ from oracles import (
     enumerate_cyclically_reduced,
     mutate_document,
     oracle_canonical_orbit_form,
+    oracle_closing_relabel,
     oracle_minimize,
 )
 
@@ -65,6 +72,30 @@ EXHAUSTIVE = ((2, 8), (3, 5))
 
 def short_words(m, max_len):
     return [w for t in range(1, max_len + 1) for w in enumerate_cyclically_reduced(m, t)]
+
+
+def periodic_words(m):
+    """Powers ``u^k`` and near-powers ``u^k c`` of short roots, where many
+    rotations and relabels tie."""
+    out = []
+    for root in ("aB", "ab", "aab", "abAB", "aBc", "abcABC", "aabbc"):
+        for k in (1, 2, 3, 5, 8):
+            for tail in ("", "c", "cc", "Cb"):
+                w = cyclic_word(parse_word(root * k + tail))
+                if w and max(map(abs, w)) <= m:
+                    out.append(w)
+    return out
+
+
+def sparse_words(m, rng, count):
+    """Seeded words over two of the ``m`` generators, never generator 1,
+    so the greedy maps meet generators that the word misses."""
+    out = []
+    for _ in range(count):
+        keep = sorted(rng.sample(range(2, m + 1), 2))
+        w = random_cyclically_reduced(2, rng.randint(1, 9), rng)
+        out.append(tuple((1 if x > 0 else -1) * keep[abs(x) - 1] for x in w))
+    return out
 
 
 def orbit_ball(w, m, cap):
@@ -320,6 +351,114 @@ class TestAgreesWithOracles:
             for x in (w, v):
                 assert minimize(x, m) == oracle_minimize(x, m), x
                 assert canonical_orbit_form(x, m) == oracle_canonical_orbit_form(x, m), x
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_periodic_and_near_periodic_words(self, m):
+        for w in periodic_words(m):
+            assert canonical_orbit_form(w, m) == oracle_canonical_orbit_form(w, m), w
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_words_missing_generators(self, m):
+        for w in sparse_words(m, random.Random(f"whitehead/sparse/{m}"), 30):
+            assert canonical_orbit_form(w, m) == oracle_canonical_orbit_form(w, m), w
+
+    @pytest.mark.parametrize("m, count", [(5, 3), (6, 2)])
+    def test_seeded_words_at_high_rank(self, m, count):
+        rng = random.Random(f"whitehead/rank/{m}")
+        for _ in range(count):
+            w = cyclic_word(random_cyclically_reduced(m, rng.randint(6, 12), rng))
+            assert canonical_orbit_form(w, m) == oracle_canonical_orbit_form(w, m), w
+
+
+class TestClosingRelabel:
+    """The relabel built from the greedy maps is the first one in
+    ``relabel_moves`` order that carries a word to its target, as the
+    loop over every relabel finds it."""
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_periodic_words(self, m):
+        rng = random.Random(f"whitehead/closing/periodic/{m}")
+        for x in periodic_words(m):
+            for rho in rng.sample(relabel_moves(m), 4):
+                target = apply_move(x, rho)
+                assert _closing_relabel(x, target, m) == oracle_closing_relabel(x, target, m)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_words_missing_generators(self, m):
+        rng = random.Random(f"whitehead/closing/sparse/{m}")
+        for w in sparse_words(m, rng, 30):
+            x = cyclic_word(w)
+            for rho in rng.sample(relabel_moves(m), 4):
+                target = apply_move(x, rho)
+                assert _closing_relabel(x, target, m) == oracle_closing_relabel(x, target, m)
+
+
+class TestTrivialMoves:
+    """The level set skips the multiplier moves whose cut has 1 or 2m - 1
+    letters: the identity and conjugation by the multiplier letter."""
+
+    @pytest.mark.parametrize("m, max_len", EXHAUSTIVE)
+    def test_fix_every_cyclic_word(self, m, max_len):
+        trivial = [mv for mv in multiplier_moves(m) if len(mv.cut) in (1, 2 * m - 1)]
+        assert len(trivial) == 4 * m
+        for w in {cyclic_word(w) for w in short_words(m, max_len)}:
+            for mv in trivial:
+                assert apply_move(w, mv) == w, (w, mv)
+
+
+def class_relator(m, length, rng):
+    """A seeded relator of the paper's class: C'(1/63) and no proper power."""
+    while True:
+        r = random_cyclically_reduced(m, length, rng)
+        if not is_proper_power(r) and check_Cprime(Presentation(Alphabet(m), (r,)), Fraction(1, 63)):
+            return r
+
+
+class TestCostGuards:
+    """Call counts, not wall-clock times: Booth passes of
+    ``words.least_rotation_offset`` and images of ``whitehead._image_core``."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"booth": 0, "image": 0}
+        booth, image = words.least_rotation_offset, whitehead._image_core
+
+        def counted_booth(keys):
+            counts["booth"] += 1
+            return booth(keys)
+
+        def counted_image(w, mv):
+            counts["image"] += 1
+            return image(w, mv)
+
+        monkeypatch.setattr(words, "least_rotation_offset", counted_booth)
+        monkeypatch.setattr(whitehead, "_image_core", counted_image)
+        return counts
+
+    @pytest.mark.parametrize("k", [5, 50, 500])
+    def test_periodic_word_passes_do_not_grow(self, calls, k):
+        # (aB)^k c has 2k + 1 runs of length 1; the starts at a and at B
+        # keep the least greedy prefixes and carry two greedy relabels
+        canonical_orbit_form(parse_word("aB" * k + "c"), 3)
+        assert calls["booth"] == 2
+
+    def test_rank_6_word_takes_one_pass(self, calls):
+        # one pass per relabel of rank 6 would be 46,080
+        rng = random.Random("whitehead/cost/6")
+        for _ in range(4):
+            calls["booth"] = 0
+            canonical_orbit_form(random_cyclically_reduced(6, 200, rng), 6)
+            assert calls["booth"] == 1
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_class_relators_are_strictly_minimal(self, calls, m):
+        # Kapovich-Schupp-Shpilrain: a generic cyclic word is strictly
+        # minimal, so no descent move and no level-set image is built
+        rng = random.Random(f"whitehead/cost/class/{m}")
+        r, s = class_relator(m, 1000, rng), class_relator(m, 1000, rng)
+        assert same_orbit(r, r, m) is not None
+        assert same_orbit(r, s, m) is None
+        assert calls["image"] == 0
 
 
 class TestSameOrbit:

@@ -13,7 +13,6 @@ from relfold.words import (
     canonical_rotation,
     concat,
     count_cyclically_reduced,
-    cyclic_permutations,
     cyclic_reduce,
     cyclic_word,
     format_word,
@@ -31,6 +30,7 @@ from relfold.words import (
     substitute,
 )
 from oracles import (
+    cyclic_permutations,
     enumerate_cyclically_reduced,
     enumerate_reduced,
     oracle_count_cyclically_reduced,
