@@ -28,7 +28,11 @@ One routine, ``_record``, builds every record: it reads both witness
 directions through the caller's lifts and checks the rank change.
 ``witnesses_hold`` checks the witnesses, freely for Fold/R in
 ``_record`` and again in ``nielsen.verify_trace``, which also checks AO
-records in the presented group.
+records in the presented group.  It evaluates each direction's words in
+one ``words.substitute_all`` call, with no memo kept between calls.  A
+folding phase's witness words are mostly frames ``P·x·P⁻¹`` that share
+``P``, so the call evaluates the shared prefix once and pushes each
+``φ(P)⁻¹`` as one block instead of evaluating ``P⁻¹`` symbol by symbol.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional, Sequence
 
-from .words import Word, free_reduce, inverse, concat, substitute
+from .words import Word, free_reduce, inverse, concat, substitute_all
 
 
 @dataclass(frozen=True)
@@ -402,17 +406,19 @@ def freely_equal(u: Sequence[int], v: Sequence[int]) -> bool:
 def witnesses_hold(rec: MoveRecord, equal) -> bool:
     """Whether both witness directions of ``rec``, conjugated as in
     ``MoveRecord``, hold under the word equality ``equal(u, v)``.  A
-    witness count off its basis size or a zero or out-of-range basis
-    symbol gives False."""
+    direction's words are all evaluated before any is compared, and the
+    second direction is skipped once the first fails.  A witness count
+    off its basis size or a zero or out-of-range basis symbol gives
+    False."""
     c, c_inv = rec.conjugator, inverse(rec.conjugator)
     pre, post = rec.pre_basis, rec.post_basis
     if len(rec.post_in_pre) != len(post) or len(rec.pre_in_post) != len(pre):
         return False
     try:
-        return (all(equal(post[j], concat(c_inv, substitute(u, pre), c))
-                    for j, u in enumerate(rec.post_in_pre))
-                and all(equal(pre[i], concat(c, substitute(u, post), c_inv))
-                        for i, u in enumerate(rec.pre_in_post)))
+        return (all(equal(post[j], concat(c_inv, v, c))
+                    for j, v in enumerate(substitute_all(rec.post_in_pre, pre)))
+                and all(equal(pre[i], concat(c, v, c_inv))
+                        for i, v in enumerate(substitute_all(rec.pre_in_post, post))))
     except (IndexError, ValueError):
         return False
 

@@ -85,21 +85,83 @@ def concat(*ws: Sequence[int]) -> Word:
     return tuple(out)
 
 
-def substitute(w: Sequence[int], images: Sequence[Sequence[int]]) -> Word:
-    """Evaluate ``w`` under letter k -> images[k-1], freely reduced.
+def substitute_all(ws: Sequence[Sequence[int]],
+                   images: Sequence[Sequence[int]]) -> list[Word]:
+    """Evaluate each word of ``ws`` under letter k -> images[k-1], freely reduced.
 
-    Negative letters map to the inverse image; 0 raises ``ValueError``.
-    Each image is reduced and inverted once per call.  The output, which
-    stays reduced, then loses the longest tail that the next image's
-    prefix cancels (found by bisection: a cancelling tail's suffixes
-    cancel too) and takes the rest of the image in one piece.
+    Negative letters map to the inverse image.  Symbol 0 raises
+    ``ValueError`` and a symbol past the images ``IndexError``, at the
+    first such symbol in word order, as if the words were evaluated one
+    by one.  Each image is reduced and inverted once per call.  The
+    output, which stays reduced, loses the longest tail that the next
+    image's prefix cancels (found by bisection: a cancelling tail's
+    suffixes cancel too) and takes the rest of the image in one piece.
 
-    >>> substitute((1, -2), ((1, 2), (3,)))
-    (1, 2, -3)
+    A word is read as a frame ``P·x·P⁻¹`` with ``P`` as long as possible
+    (maybe empty), and the frame bodies ``P·x`` share their longest
+    common prefix, which is evaluated once.  φ is a homomorphism, so
+    φ(P·x·P⁻¹) = φ(P)·φ(x)·φ(P)⁻¹ for any letters, reduced or not:
+    φ(P) is the output at |P|, and its inverse is pushed as one block.
+
+    >>> substitute_all([(2, 1, -2), (2, -1, -2)], ((1, 2), (2, 2)))
+    [(2, 2, 1, -2), (2, -1, -2, -2)]
     """
-    out: list[int] = []
+    ws = [tuple(w) for w in ws]
+    if not ws:
+        return []
+    frames = []  # |P| of each word
+    for w in ws:
+        h, k = len(w) // 2, 0
+        while k < h and w[k] == -w[~k]:
+            k += 1
+        frames.append(k)
     pairs: dict[int, tuple[list, list]] = {}  # symbol -> (image, inverse), reduced
-    for k in w:
+    out: list[int] = []
+    first = ws[0]
+    if len(ws) == 1 and not frames[0]:  # nothing to share or mirror
+        _push_images(out, first, images, pairs)
+        return [tuple(out)]
+    q = min(len(w) - k for w, k in zip(ws, frames))
+    for w in ws[1:]:
+        q = _longest(lambda n: w[:n] == first[:n], q)
+    heads, at = {0: []}, 0  # |P| inside the common prefix -> φ(P)
+    for k in sorted(set(frames)):
+        if 0 < k <= q:
+            _push_images(out, first[at:k], images, pairs)
+            heads[k], at = out[:], k
+    _push_images(out, first[at:q], images, pairs)
+    results = []
+    for w, k in zip(ws, frames):
+        body = out[:]
+        if k > q:
+            _push_images(body, w[q:k], images, pairs)
+        head = heads[k] if k <= q else body[:]
+        _push_images(body, w[max(q, k):len(w) - k], images, pairs)
+        if head:  # φ(P)⁻¹ cancels the longest common suffix of body and φ(P)
+            n = len(head)
+            c = _longest(lambda j: body[len(body) - j:] == head[n - j:], min(n, len(body)))
+            del body[len(body) - c:]
+            body.extend([-x for x in reversed(head[:n - c])])
+        results.append(tuple(body))
+    return results
+
+
+def _longest(holds, hi: int) -> int:
+    """The largest n <= hi with ``holds(n)``, by bisection; ``holds`` must
+    be true at 0 and hold at every n below one where it holds."""
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _push_images(out: list, symbols: Sequence[int], images, pairs: dict) -> None:
+    """Append the images of ``symbols`` to the reduced ``out``, cancelling."""
+    for k in symbols:
         pair = pairs.get(k)
         if pair is None:
             if k == 0:
@@ -121,7 +183,18 @@ def substitute(w: Sequence[int], images: Sequence[Sequence[int]]) -> Word:
                 hi = mid - 1
         del out[-lo:]
         out.extend(img[lo:])
-    return tuple(out)
+
+
+def substitute(w: Sequence[int], images: Sequence[Sequence[int]]) -> Word:
+    """Evaluate ``w`` under letter k -> images[k-1], freely reduced:
+    ``substitute_all((w,), images)[0]``.
+
+    >>> substitute((1, -2), ((1, 2), (3,)))
+    (1, 2, -3)
+    >>> substitute((2, 1, -2), ((1, 2), (2, 2)))  # φ(b)·φ(a)·φ(b)⁻¹
+    (2, 2, 1, -2)
+    """
+    return substitute_all((w,), images)[0]
 
 
 def cyclic_reduce(w: Sequence[int]) -> tuple[Word, Word]:

@@ -1,8 +1,9 @@
 """Independent brute-force oracles for the tests: word enumeration, the
 transfer-matrix counts and draws of cyclically reduced words, every
-rotation and the least rotation, the Whitehead descent, orbit form and
-closing relabel by enumeration, readability of short words, the
-readability search with its old memo of failed states,
+rotation and the least rotation, substitution one symbol at a time, the
+Whitehead descent, orbit form and closing relabel by enumeration,
+readability of short words, the readability search with its old memo
+of failed states,
 one-move-at-a-time folding and stripping, maximal arcs by walking,
 pieces by pairwise prefixes, and the long-relator scan by a table over
 every position and vertex; and the document mutator of the fuzz tests.
@@ -56,6 +57,7 @@ from relfold.whitehead import _image_core, apply_move, multiplier_moves, relabel
 from relfold.words import (
     Word,
     canonical_rotation,
+    concat,
     cyclic_word,
     inverse,
     is_cyclically_reduced,
@@ -186,6 +188,43 @@ def oracle_least_rotation(w: Word) -> Word:
     if not w:
         return w
     return min((w[o:] + w[:o] for o in range(len(w))), key=word_key)
+
+
+def oracle_substitute(w: Word, images) -> Word:
+    """Evaluate ``w`` under letter k -> images[k-1], freely reduced, one
+    symbol at a time: the reference for :func:`relfold.words.substitute_all`.
+
+    Negative letters map to the inverse image; 0 raises ``ValueError``.
+    Each image is reduced and inverted once per call.  The output, which
+    stays reduced, then loses the longest tail that the next image's
+    prefix cancels (found by bisection: a cancelling tail's suffixes
+    cancel too) and takes the rest of the image in one piece.
+    """
+    out: list[int] = []
+    pairs: dict[int, tuple[list, list]] = {}  # symbol -> (image, inverse), reduced
+    for k in w:
+        pair = pairs.get(k)
+        if pair is None:
+            if k == 0:
+                raise ValueError("basis symbol 0 names no image")
+            img = list(concat(images[abs(k) - 1]))
+            inv = [-x for x in reversed(img)]
+            pair = pairs[k] = (img, inv) if k > 0 else (inv, img)
+        img, inv = pair
+        if not (out and img and out[-1] == -img[0]):
+            out.extend(img)
+            continue
+        n = len(img)
+        lo, hi = 1, min(n, len(out))
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if out[-mid:] == inv[n - mid:]:
+                lo = mid
+            else:
+                hi = mid - 1
+        del out[-lo:]
+        out.extend(img[lo:])
+    return tuple(out)
 
 
 def oracle_minimize(w: Word, m: int) -> tuple[Word, tuple]:

@@ -43,8 +43,10 @@ from relfold.words import (
     parse_word,
     random_cyclically_reduced,
     substitute,
+    substitute_all,
 )
-from oracles import mutate_document
+from oracles import mutate_document, oracle_substitute
+from test_acceptance import grown_scrambled_tuple
 
 A2 = Alphabet(2)
 PARAMS = ClassParams(Fraction(1, 33), Fraction(1, 1), 2)
@@ -531,6 +533,90 @@ class TestVerifyTrace:
         v = reduce_tuple(((1,), (2,)), p, PARAMS)
         t = dataclasses.replace(v.trace, final_tuple=((2,), (1,)))
         assert not verify_trace(t, p)
+
+
+@lru_cache(maxsize=None)
+def witness_shape_reductions() -> tuple:
+    """Reductions of seeded scrambled bases of 80-120 letters, four at
+    m = 2 and four at m = 3: (presentation, trace)."""
+    out = []
+    for m, p, params in ((2, fixture_presentation(), PARAMS),
+                         (3, fixture_presentation3(), PARAMS3)):
+        rng = random.Random(1700 + m)
+        for target in (80, 95, 110, 120):
+            v = reduce_tuple(grown_scrambled_tuple(rng, m, target), p, params)
+            assert v.kind == WHOLE_GROUP
+            out.append((p, v.trace))
+    return tuple(out)
+
+
+def frame_length(u) -> int:
+    """|P| of the longest frame P·x·P⁻¹ of the letter sequence ``u``."""
+    k = 0
+    while k < len(u) // 2 and u[k] == -u[-1 - k]:
+        k += 1
+    return k
+
+
+def with_record(t, i, **changes):
+    """Trace ``t`` with record ``i`` replaced by a copy with ``changes``."""
+    steps = list(t.steps)
+    rec, snap = steps[i]
+    steps[i] = (dataclasses.replace(rec, **changes), snap)
+    return dataclasses.replace(t, steps=tuple(steps))
+
+
+class TestWitnessEvaluation:
+    """``substitute_all`` on the witness words reductions really make."""
+
+    def test_matches_oracle_on_every_record(self):
+        for _, t in witness_shape_reductions():
+            for rec, _ in t.steps:
+                for ws, basis in ((rec.post_in_pre, rec.pre_basis),
+                                  (rec.pre_in_post, rec.post_basis)):
+                    assert substitute_all(ws, basis) == [
+                        oracle_substitute(u, basis) for u in ws]
+
+    def test_most_fold_symbols_lie_in_a_frame(self):
+        # The shortcut pays only if frames are common: 90% of the
+        # post_in_pre symbols on the benchmark's inputs, 80% here.
+        total = framed = 0
+        for _, t in witness_shape_reductions():
+            for rec, _ in t.steps:
+                if rec.kind == "Fold":
+                    for u in rec.post_in_pre:
+                        total += len(u)
+                        framed += 2 * frame_length(u)
+        assert total > 1000
+        assert framed > 0.6 * total
+
+    def test_tampered_frame_tail_rejected(self):
+        p, t = witness_shape_reductions()[0]
+        i, rec = next((i, rec) for i, (rec, _) in enumerate(t.steps)
+                      if rec.kind == "Fold")
+        j, u = max(enumerate(rec.post_in_pre), key=lambda ju: frame_length(ju[1]))
+        k = frame_length(u)
+        assert k >= 4
+        bad = list(u)
+        bad[len(u) - 1 - k // 2] = -bad[len(u) - 1 - k // 2]
+        assert frame_length(bad) < k
+        words = rec.post_in_pre[:j] + (tuple(bad),) + rec.post_in_pre[j + 1:]
+        assert substitute_all(words, rec.pre_basis) == [
+            oracle_substitute(w, rec.pre_basis) for w in words]
+        assert verify_trace(t, p)
+        assert not verify_trace(with_record(t, i, post_in_pre=words), p)
+
+    @pytest.mark.parametrize("direction", ["post_in_pre", "pre_in_post"])
+    def test_bad_symbol_in_last_word_rejected(self, direction):
+        # every word of a direction is evaluated before any is compared
+        p, t = witness_shape_reductions()[4]
+        for i, (rec, _) in enumerate(t.steps):
+            ws = getattr(rec, direction)
+            basis = rec.pre_basis if direction == "post_in_pre" else rec.post_basis
+            for bad in (0, len(basis) + 1, -len(basis) - 1):
+                last = ws[-1] + (bad,)
+                tampered = with_record(t, i, **{direction: ws[:-1] + (last,)})
+                assert not verify_trace(tampered, p)
 
 
 class TestTraceSerialization:

@@ -28,6 +28,7 @@ from relfold.words import (
     random_cyclically_reduced,
     random_cyclically_reduced_up_to,
     substitute,
+    substitute_all,
 )
 from oracles import (
     cyclic_permutations,
@@ -37,6 +38,7 @@ from oracles import (
     oracle_least_rotation,
     oracle_random_cyclically_reduced,
     oracle_random_cyclically_reduced_up_to,
+    oracle_substitute,
 )
 
 
@@ -133,6 +135,91 @@ class TestReduction:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             free_reduce((1, 0, 2))
+
+
+LETTERS3 = st.sampled_from([1, -1, 2, -2, 3, -3])
+# five images, so that symbols 4 and 5 name images no word uses
+IMAGES5 = st.lists(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12),
+                   min_size=5, max_size=5)
+
+
+def raw_inverse(w):
+    """The letter-wise inverse of ``w``, with no reduction."""
+    return [-x for x in reversed(w)]
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is the result
+        return type(exc)
+
+
+def one_by_one(ws, images):
+    return [oracle_substitute(w, images) for w in ws]
+
+
+class TestSubstituteAll:
+    """``substitute_all`` against the one-symbol-at-a-time oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(LETTERS3, max_size=15),
+           st.lists(st.lists(LETTERS3, max_size=10), max_size=4), IMAGES5)
+    def test_framed_words_sharing_p(self, p, xs, images):
+        # P·x_j·P⁻¹ with one P; an empty x_j gives P·P⁻¹
+        ws = [p + x + raw_inverse(p) for x in xs + [[]]]
+        assert substitute_all(ws, images) == one_by_one(ws, images)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(LETTERS3, max_size=20), max_size=5), IMAGES5)
+    def test_unreduced_and_empty_words(self, ws, images):
+        assert substitute_all(ws, images) == one_by_one(ws, images)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(LETTERS3, max_size=10), st.lists(LETTERS3, max_size=10),
+           st.lists(st.lists(LETTERS3, max_size=10), min_size=1, max_size=3),
+           IMAGES5)
+    def test_frames_of_several_lengths_in_one_prefix(self, p, q, xs, images):
+        # P·Q·x·Q⁻¹·P⁻¹ and P·Q·x·P⁻¹ share P·Q, and their frames are at
+        # least |P| + |Q| and |P| long
+        ws = ([p + q + x + raw_inverse(q) + raw_inverse(p) for x in xs]
+              + [p + q + x + raw_inverse(p) for x in xs])
+        assert substitute_all(ws, images) == one_by_one(ws, images)
+
+    def test_empty_group(self):
+        assert substitute_all((), ((1,),)) == []
+        assert substitute_all([], ()) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(LETTERS3, max_size=8),
+           st.lists(st.lists(LETTERS3, max_size=6), min_size=1, max_size=3),
+           IMAGES5, st.sampled_from([0, 6, -6, 9]), st.data())
+    def test_bad_symbols_raise_like_the_oracle(self, p, xs, images, bad, data):
+        # symbol 0 or one past the images, in P, in an x or in a later word
+        ws = [p + x + raw_inverse(p) for x in xs]
+        where = data.draw(st.sampled_from(["P", "x", "later"]))
+        j = data.draw(st.integers(0, len(ws) - 1))
+        if where == "P":
+            i = data.draw(st.integers(0, len(p)))
+            q = p[:i] + [bad] + p[i:]
+            ws = [q + x + raw_inverse(q) for x in xs]
+        elif where == "x":
+            x = xs[j]
+            i = data.draw(st.integers(0, len(x)))
+            ws[j] = p + x[:i] + [bad] + x[i:] + raw_inverse(p)
+        else:
+            ws.append(data.draw(st.lists(LETTERS3, max_size=4)) + [bad])
+        expected = outcome(one_by_one, ws, images)
+        assert expected in (ValueError, IndexError)
+        assert outcome(substitute_all, ws, images) is expected
+
+    def test_zero_and_out_of_range_in_one_group(self):
+        images = ((1, 2), (2,))
+        # the first bad symbol in word order decides the exception
+        assert outcome(substitute_all, [(1, 0, -1), (3,)], images) is ValueError
+        assert outcome(substitute_all, [(1, 3, -1), (0,)], images) is IndexError
+        assert outcome(substitute_all, [(1, 2), (1, 0)], images) is ValueError
 
 
 class TestCyclicWords:
