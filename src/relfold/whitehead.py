@@ -35,6 +35,11 @@ kinds of multiplier move fix every cyclic word: a cut of the letter
 alone is the identity, and a cut of every letter but the multiplier's
 inverse is conjugation by it; the level set skips both.
 
+Neither search rotates the words it builds.  Move scores and orbit forms
+depend only on the cyclic word, and the image of a rotation is a
+conjugate of the image, so cyclic reduction gives a rotation of it; a
+word is rotated to its canonical form only where a result needs it.
+
 The canonical form of a cyclic word is its least relabel image over all
 rotations.  It is found without listing the 2^m * m! relabels:
 
@@ -72,8 +77,8 @@ from . import words
 from .words import (
     Word,
     cyclic_reduce,
-    cyclic_word,
     format_word,
+    free_reduce,
     inverse,
     letter_key,
     parse_word,
@@ -243,7 +248,7 @@ def _length_changes(w: Word, m: int) -> list[int]:
 
 
 def _in_alphabet(letters, m: int) -> bool:
-    return all(0 < abs(x) <= m for x in letters)
+    return not letters or (0 not in letters and -m <= min(letters) and max(letters) <= m)
 
 
 def _check_alphabet(w: Word, m: int) -> None:
@@ -288,16 +293,16 @@ def _greedy_relabels(w: Word, m: int) -> set[tuple[int, ...]]:
     return relabels
 
 
-def _least_images(w: Word, m: int) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The ``letter_key`` list of the least relabel image of the cyclic
+def _least_images(w: Word, m: int) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The ``letter_key`` tuple of the least relabel image of the cyclic
     word ``w``, and the greedy relabels that reach it."""
-    best, winners = [], []
+    best, winners = (), []
     for images in _greedy_relabels(w, m):
         table = [0] * (2 * m + 1)  # signed letter -> key of its image
         for g, img in enumerate(images, start=1):
             if img:
                 table[g], table[-g] = letter_key(img), letter_key(-img)
-        keys = list(map(table.__getitem__, w))
+        keys = tuple(map(table.__getitem__, w))
         k = words.least_rotation_offset(keys)
         keys = keys[k:] + keys[:k]
         if not winners or keys < best:
@@ -344,13 +349,42 @@ def _closing_relabel(x: Word, target: Word, m: int) -> Relabel:
     return Relabel(best[1])
 
 
+def _core(w: Word) -> Word:
+    """``w`` reduced freely and cyclically, not rotated; a word that
+    reduces to the identity raises ``ValueError``."""
+    core, _ = cyclic_reduce(free_reduce(w))
+    if not core:
+        raise ValueError("word must be nontrivial")
+    return core
+
+
+def _descend(w: Word, m: int) -> tuple[Word, list, list[int]]:
+    """Greedy descent from the nonempty cyclically reduced ``w``: while
+    some multiplier move shortens the word, apply the first one in
+    :func:`multiplier_moves` order.  Returns the word reached (not
+    rotated), the moves, and that word's :func:`_length_changes`."""
+    moves = []
+    while True:
+        changes = _length_changes(w, m)
+        for mv, change in zip(multiplier_moves(m), changes):
+            if change < 0:
+                break
+        else:
+            return w, moves, changes
+        moves.append(mv)
+        w = _image_core(w, mv)
+
+
 def minimize(w: Word, m: int) -> tuple[Word, tuple]:
     """Greedy descent to the minimal cyclic length in the orbit of ``w``.
 
-    Returns the minimal word reached and the moves that got there.  When
-    no multiplier move shortens the result, none exists at all, so the
-    returned length is the true orbit minimum.  A word that reduces to
-    the identity raises ``ValueError``.
+    Returns the minimal word reached, as its canonical rotation, and the
+    moves that got there.  When no multiplier move shortens the result,
+    none exists at all, so the returned length is the true orbit minimum.
+    A word that reduces to the identity raises ``ValueError``.  Move
+    scores do not depend on the rotation, and the image of a rotation is
+    a rotation of the image, so the descent never rotates: the word is
+    rotated once, at the end.
 
     >>> minimize((1, 1, 2), 2)[0]
     (2,)
@@ -358,18 +392,8 @@ def minimize(w: Word, m: int) -> tuple[Word, tuple]:
     (1, 2, -1, -2)
     """
     _check_alphabet(w, m)
-    current = cyclic_word(w)
-    if not current:
-        raise ValueError("word must be nontrivial")
-    moves = []
-    while True:
-        for mv, change in zip(multiplier_moves(m), _length_changes(current, m)):
-            if change < 0:
-                break
-        else:
-            return current, tuple(moves)
-        moves.append(mv)
-        current = words.canonical_rotation(_image_core(current, mv))
+    x, moves, _ = _descend(_core(w), m)
+    return words.canonical_rotation(x), tuple(moves)
 
 
 @dataclass(frozen=True)
@@ -396,17 +420,23 @@ def _fits_rank(mv, m: int) -> bool:
 
 def verify_certificate(cert: OrbitCertificate, m: int) -> bool:
     """Replay a certificate and compare against its target.  False when
-    the source, the target or a move leaves the rank-``m`` alphabet."""
+    the source, the target or a move leaves the rank-``m`` alphabet.
+    The image of a rotation is a rotation of the image, so the replay
+    reduces after each move but rotates only once, at the end.
+
+    >>> verify_certificate(same_orbit((1, 1, 2), (2, 1), 2), 2)
+    True
+    """
     if not (_in_alphabet(cert.source, m) and _in_alphabet(cert.target, m)
             and all(_fits_rank(mv, m) for mv in cert.moves)):
         return False
-    x = cyclic_word(cert.source)
+    x = cyclic_reduce(free_reduce(cert.source))[0]
     for mv in cert.moves:
-        x = apply_move(x, mv)
-    expected = cyclic_word(cert.target)
+        x = _image_core(x, mv)
+    expected = cyclic_reduce(free_reduce(cert.target))[0]
     if cert.inverted:
-        expected = cyclic_word(inverse(expected))
-    return x == expected
+        expected = inverse(expected)
+    return words.canonical_rotation(x) == words.canonical_rotation(expected)
 
 
 def same_orbit(u: Word, v: Word, m: int) -> Optional[OrbitCertificate]:
@@ -417,21 +447,23 @@ def same_orbit(u: Word, v: Word, m: int) -> Optional[OrbitCertificate]:
     reachable from u's minimum by length-preserving multiplier moves,
     visiting each relabel-canonical form once.  Returns a verified
     certificate, or None when the orbits differ.  A word that reduces to
-    the identity raises ``ValueError``.
+    the identity raises ``ValueError``.  Move scores and orbit forms do
+    not depend on the rotation, and the image of a rotation is a
+    rotation of the image, so search nodes stay unrotated: only a hit
+    and its target are rotated, for the closing relabel.
     """
     _check_alphabet(u, m)
     _check_alphabet(v, m)
-    min_u, moves_u = minimize(u, m)
-    min_v, moves_v = minimize(v, m)
+    core_u = _core(u)
+    min_u, moves_u, changes_u = _descend(core_u, m)
+    core_v = _core(v)
+    min_v, moves_v, _ = _descend(core_v, m)
     if len(min_u) != len(min_v):
         return None
 
-    target_fwd = min_v
-    target_inv = cyclic_word(inverse(min_v))
-    canon_fwd = canonical_orbit_form(target_fwd, m)
-    canon_inv = canonical_orbit_form(target_inv, m)
-
-    start_key = canonical_orbit_form(min_u, m)
+    target_inv = inverse(min_v)
+    canon_fwd, canon_inv = _least_images(min_v, m)[0], _least_images(target_inv, m)[0]
+    start_key = _least_images(min_u, m)[0]
     visited = {start_key}
     queue = deque([(min_u, (), start_key)])
     hit: Optional[tuple[Word, tuple, bool]] = None
@@ -443,19 +475,21 @@ def same_orbit(u: Word, v: Word, m: int) -> Optional[OrbitCertificate]:
         if key == canon_inv:
             hit = (x, path, True)
             break
-        for mv, change in zip(multiplier_moves(m), _length_changes(x, m)):
+        changes = _length_changes(x, m) if path else changes_u
+        for mv, change in zip(multiplier_moves(m), changes):
             if change or len(mv.cut) in (1, 2 * m - 1):  # fixes every cyclic word
                 continue
             core = _image_core(x, mv)
-            ikey = canonical_orbit_form(core, m)
+            ikey = _least_images(core, m)[0]
             if ikey not in visited:
                 visited.add(ikey)
-                queue.append((words.canonical_rotation(core), path + (mv,), ikey))
+                queue.append((core, path + (mv,), ikey))
     if hit is None:
         return None
 
     x, path, inverted = hit
-    target_word = target_inv if inverted else target_fwd
+    x = words.canonical_rotation(x)
+    target_word = words.canonical_rotation(target_inv if inverted else min_v)
     moves = tuple(moves_u) + tuple(path)
     if x != target_word:
         moves = moves + (_closing_relabel(x, target_word, m),)
@@ -463,8 +497,8 @@ def same_orbit(u: Word, v: Word, m: int) -> Optional[OrbitCertificate]:
     tail = tuple(invert_move(mv) for mv in reversed(moves_v))
     cert = OrbitCertificate(
         moves=moves + tail,
-        source=cyclic_word(u),
-        target=cyclic_word(v),
+        source=words.canonical_rotation(core_u),
+        target=words.canonical_rotation(core_v),
         inverted=inverted,
     )
     if not verify_certificate(cert, m):

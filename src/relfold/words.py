@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import eq, neg
 from typing import Sequence
 
 Word = tuple  # tuple of nonzero ints; +i = generator i, -i = its inverse
@@ -61,7 +62,7 @@ def free_reduce(letters: Sequence[int]) -> Word:
 
 
 def is_reduced(w: Sequence[int]) -> bool:
-    return all(w[i] != -w[i + 1] for i in range(len(w) - 1)) and 0 not in w
+    return 0 not in w and not any(map(eq, w[1:], map(neg, w)))
 
 
 def inverse(w: Sequence[int]) -> Word:
@@ -275,22 +276,40 @@ def cyclic_word(w: Sequence[int]) -> Word:
 
 
 def power_decomposition(w: Sequence[int]) -> tuple[Word, int]:
-    """Write a cyclically reduced word as ``root^k`` with ``k`` maximal.
+    """Write a nonempty cyclically reduced word as ``root^k`` with ``k``
+    maximal; the empty word raises ``ValueError``.
 
     For cyclically reduced words, being a proper power in the free group
-    is the same as literal periodicity, so a divisor scan is exact.
+    is the same as literal periodicity.  A period ``e`` dividing ``n =
+    |w|`` is a multiple of the least period, so dividing ``e = n`` by each
+    prime factor of ``n`` while the quotient is still a period ends at the
+    least period: at most log2(n) slice comparisons.
 
     >>> power_decomposition((1, 2, 1, 2))
     ((1, 2), 2)
+    >>> power_decomposition((1, -2) * 6)
+    ((1, -2), 6)
+    >>> power_decomposition(())
+    Traceback (most recent call last):
+    ...
+    ValueError: power_decomposition needs a nonempty word
     """
     w = tuple(w)
+    if not w:
+        raise ValueError("power_decomposition needs a nonempty word")
     if not is_cyclically_reduced(w):
         raise ValueError("power_decomposition needs a cyclically reduced word")
-    n = len(w)
-    for d in range(1, n + 1):
-        if n % d == 0 and w == w[:d] * (n // d):
-            return w[:d], n // d
-    raise AssertionError("unreachable")
+    n = d = rest = len(w)
+    p = 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # the last prime factor
+        while rest % p == 0:
+            rest //= p
+            if w[d // p:] == w[:n - d // p]:
+                d //= p
+        p += 1
+    return w[:d], n // d
 
 
 def is_proper_power(w: Sequence[int]) -> bool:

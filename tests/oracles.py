@@ -1,7 +1,9 @@
 """Independent brute-force oracles for the tests: word enumeration, the
 transfer-matrix counts and draws of cyclically reduced words, every
-rotation and the least rotation, substitution one symbol at a time, the
-Whitehead descent, orbit form and closing relabel by enumeration,
+rotation and the least rotation, powers by a divisor scan, substitution
+one symbol at a time, the Whitehead descent, orbit form and closing
+relabel by enumeration, the orbit search and certificate replay that
+rotate every word they build,
 readability of short words, the readability search with its old memo
 of failed states,
 one-move-at-a-time folding and stripping, maximal arcs by walking,
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import copy
 import math
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -53,7 +55,18 @@ from relfold.readability import (
     ReadabilityQuery,
 )
 from relfold.smallcancel import LongRelatorPath
-from relfold.whitehead import _image_core, apply_move, multiplier_moves, relabel_moves
+from relfold.whitehead import (
+    OrbitCertificate,
+    _closing_relabel,
+    _fits_rank,
+    _image_core,
+    _length_changes,
+    apply_move,
+    canonical_orbit_form,
+    invert_move,
+    multiplier_moves,
+    relabel_moves,
+)
 from relfold.words import (
     Word,
     canonical_rotation,
@@ -190,6 +203,18 @@ def oracle_least_rotation(w: Word) -> Word:
     return min((w[o:] + w[:o] for o in range(len(w))), key=word_key)
 
 
+def oracle_power_decomposition(w: Word) -> tuple[Word, int]:
+    """``root^k`` with ``k`` maximal for a nonempty cyclically reduced
+    word, by trying every divisor ``d`` of ``|w|`` in increasing order:
+    the reference for :func:`relfold.words.power_decomposition`."""
+    w = tuple(w)
+    n = len(w)
+    for d in range(1, n + 1):
+        if n % d == 0 and w == w[:d] * (n // d):
+            return w[:d], n // d
+    raise ValueError("the empty word has no root")
+
+
 def oracle_substitute(w: Word, images) -> Word:
     """Evaluate ``w`` under letter k -> images[k-1], freely reduced, one
     symbol at a time: the reference for :func:`relfold.words.substitute_all`.
@@ -243,6 +268,82 @@ def oracle_minimize(w: Word, m: int) -> tuple[Word, tuple]:
             return current, tuple(moves)
         moves.append(mv)
         current = canonical_rotation(core)
+
+
+def oracle_verify_certificate(cert: OrbitCertificate, m: int) -> bool:
+    """Replay a certificate with the canonical rotation taken after every
+    move: the reference for :func:`relfold.whitehead.verify_certificate`,
+    which rotates once, at the end."""
+    def in_alphabet(letters):
+        return all(0 < abs(x) <= m for x in letters)
+
+    if not (in_alphabet(cert.source) and in_alphabet(cert.target)
+            and all(_fits_rank(mv, m) for mv in cert.moves)):
+        return False
+    x = cyclic_word(cert.source)
+    for mv in cert.moves:
+        x = apply_move(x, mv)
+    expected = cyclic_word(cert.target)
+    if cert.inverted:
+        expected = cyclic_word(inverse(expected))
+    return x == expected
+
+
+def oracle_same_orbit(u: Word, v: Word, m: int):
+    """The level-set search with every node, hit and target kept in its
+    canonical rotation, keyed by :func:`canonical_orbit_form`, after the
+    descent of :func:`oracle_minimize`: the reference for
+    :func:`relfold.whitehead.same_orbit`, which rotates only a hit and
+    its target.  Inputs must be nontrivial words of rank ``m``."""
+    min_u, moves_u = oracle_minimize(u, m)
+    min_v, moves_v = oracle_minimize(v, m)
+    if len(min_u) != len(min_v):
+        return None
+
+    target_fwd = min_v
+    target_inv = cyclic_word(inverse(min_v))
+    canon_fwd = canonical_orbit_form(target_fwd, m)
+    canon_inv = canonical_orbit_form(target_inv, m)
+
+    start_key = canonical_orbit_form(min_u, m)
+    visited = {start_key}
+    queue = deque([(min_u, (), start_key)])
+    hit = None
+    while queue:
+        x, path, key = queue.popleft()
+        if key == canon_fwd:
+            hit = (x, path, False)
+            break
+        if key == canon_inv:
+            hit = (x, path, True)
+            break
+        for mv, change in zip(multiplier_moves(m), _length_changes(x, m)):
+            if change or len(mv.cut) in (1, 2 * m - 1):  # fixes every cyclic word
+                continue
+            core = _image_core(x, mv)
+            ikey = canonical_orbit_form(core, m)
+            if ikey not in visited:
+                visited.add(ikey)
+                queue.append((canonical_rotation(core), path + (mv,), ikey))
+    if hit is None:
+        return None
+
+    x, path, inverted = hit
+    target_word = target_inv if inverted else target_fwd
+    moves = tuple(moves_u) + tuple(path)
+    if x != target_word:
+        moves = moves + (_closing_relabel(x, target_word, m),)
+
+    tail = tuple(invert_move(mv) for mv in reversed(moves_v))
+    cert = OrbitCertificate(
+        moves=moves + tail,
+        source=cyclic_word(u),
+        target=cyclic_word(v),
+        inverted=inverted,
+    )
+    if not oracle_verify_certificate(cert, m):
+        raise RuntimeError("assembled certificate failed to replay")
+    return cert
 
 
 def oracle_canonical_orbit_form(w: Word, m: int) -> Word:

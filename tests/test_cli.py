@@ -415,6 +415,16 @@ class TestWordCommands:
         assert run_cli(argv) == EX_USAGE
         assert "rank" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        # u is reduced and descended before v, so its error comes first
+        (["orbit", "a", "1", "--m", "7"], "Whitehead moves are enumerated up to rank 6, got 7"),
+        (["orbit", "1", "a", "--m", "7"], "word must be nontrivial"),
+    ])
+    def test_orbit_reports_first_word_error(self, capsys, argv, message):
+        assert run_cli(argv) == EX_USAGE
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"relfold: error: {message}\n")
+
     def test_letter_outside_rank(self):
         assert run_cli(["readable", "abc", "--m", "2", "--mu", "1"]) == EX_USAGE
 

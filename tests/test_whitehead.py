@@ -49,6 +49,8 @@ from oracles import (
     oracle_canonical_orbit_form,
     oracle_closing_relabel,
     oracle_minimize,
+    oracle_same_orbit,
+    oracle_verify_certificate,
 )
 
 PINNED = pathlib.Path(__file__).with_name("whitehead_pinned.json")
@@ -370,6 +372,79 @@ class TestAgreesWithOracles:
             assert canonical_orbit_form(w, m) == oracle_canonical_orbit_form(w, m), w
 
 
+def oracle_pair_inputs(m, max_len, count, rng):
+    """Seeded pairs: a word and its image under up to five random
+    multiplier moves and relabels, inverted half the time; and two
+    independent draws of one length with equal minimal length."""
+    moves = all_moves(m)
+    pairs = []
+    for _ in range(count):
+        u = cyclic_word(random_cyclically_reduced(m, rng.randint(1, max_len), rng))
+        v = u
+        for _ in range(rng.randint(1, 5)):
+            v = apply_move(v, rng.choice(moves))
+        pairs.append((u, cyclic_word(inverse(v)) if rng.random() < 0.5 else v))
+        target = len(minimize(u, m)[0])
+        for _ in range(50):
+            v = cyclic_word(random_cyclically_reduced(m, len(u), rng))
+            if len(minimize(v, m)[0]) == target:
+                pairs.append((u, v))
+                break
+    return pairs
+
+
+def search_json(m, u, v, search=same_orbit):
+    cert = search(u, v, m)
+    return certificate_jsonable(cert) if cert is not None else None
+
+
+class TestSearchOracle:
+    """``same_orbit`` and ``verify_certificate``, which rotate only at a hit
+    and at the end of a replay, give what the search and replay that
+    rotate every word they build give, and ``minimize`` what the descent
+    that builds every image gives."""
+
+    @pytest.mark.parametrize("m, max_len, count", [(2, 60, 30), (3, 40, 12), (4, 16, 5)])
+    def test_seeded_pairs(self, m, max_len, count):
+        rng = random.Random(f"whitehead/search-oracle/{m}")
+        pairs = oracle_pair_inputs(m, max_len, count, rng)
+        assert any(search_json(m, u, v) is None for u, v in pairs)
+        for u, v in pairs:
+            assert search_json(m, u, v) == search_json(m, u, v, oracle_same_orbit), (u, v)
+            for w in (u, v):
+                assert minimize(w, m) == oracle_minimize(w, m), w
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_periodic_words(self, m):
+        rng = random.Random(f"whitehead/search-oracle/periodic/{m}")
+        periodic = periodic_words(m)
+        moves = all_moves(m)
+        for u, other in zip(periodic, periodic[1:] + periodic[:1]):
+            moved = apply_move(apply_move(u, rng.choice(moves)), rng.choice(moves))
+            for v in (moved, other):
+                assert search_json(m, u, v) == search_json(m, u, v, oracle_same_orbit), (u, v)
+
+    def test_verifiers_agree_on_fuzzed_certificates(self):
+        recorded = [r for r in json.loads(PINNED.read_text()) if r["certificate"]]
+        # most mutations do not decode; 300 that do are replayed
+        rng = random.Random("whitehead/search-oracle/fuzz")
+        checked = verdicts = 0
+        for run in range(20000):
+            rec = rng.choice(recorded)
+            doc = json.loads(json.dumps(rec["certificate"]))
+            mutations = mutate_document(doc, rng)
+            try:
+                cert = certificate_from_jsonable(doc)
+            except ValueError:
+                continue
+            verdict = verify_certificate(cert, rec["m"])
+            assert verdict is oracle_verify_certificate(cert, rec["m"]), (run, mutations)
+            checked, verdicts = checked + 1, verdicts + verdict
+            if checked == 300:
+                break
+        assert checked == 300 and 0 < verdicts < 300
+
+
 class TestClosingRelabel:
     """The relabel built from the greedy maps is the first one in
     ``relabel_moves`` order that carries a word to its target, as the
@@ -416,12 +491,14 @@ def class_relator(m, length, rng):
 
 class TestCostGuards:
     """Call counts, not wall-clock times: Booth passes of
-    ``words.least_rotation_offset`` and images of ``whitehead._image_core``."""
+    ``words.least_rotation_offset``, images of ``whitehead._image_core``
+    and move scorings of ``whitehead._length_changes``."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"booth": 0, "image": 0}
+        counts = {"booth": 0, "image": 0, "scores": 0}
         booth, image = words.least_rotation_offset, whitehead._image_core
+        scores = whitehead._length_changes
 
         def counted_booth(keys):
             counts["booth"] += 1
@@ -431,8 +508,13 @@ class TestCostGuards:
             counts["image"] += 1
             return image(w, mv)
 
+        def counted_scores(w, m):
+            counts["scores"] += 1
+            return scores(w, m)
+
         monkeypatch.setattr(words, "least_rotation_offset", counted_booth)
         monkeypatch.setattr(whitehead, "_image_core", counted_image)
+        monkeypatch.setattr(whitehead, "_length_changes", counted_scores)
         return counts
 
     @pytest.mark.parametrize("k", [5, 50, 500])
@@ -453,12 +535,28 @@ class TestCostGuards:
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_class_relators_are_strictly_minimal(self, calls, m):
         # Kapovich-Schupp-Shpilrain: a generic cyclic word is strictly
-        # minimal, so no descent move and no level-set image is built
+        # minimal, so no descent move and no level-set image is built.  A
+        # search that rotates only at a hit orders each word once (the
+        # orbit keys of s, s^-1 and r) and scores it once (r and s).
         rng = random.Random(f"whitehead/cost/class/{m}")
         r, s = class_relator(m, 1000, rng), class_relator(m, 1000, rng)
         assert same_orbit(r, r, m) is not None
+        calls["booth"] = calls["scores"] = 0
         assert same_orbit(r, s, m) is None
+        assert (calls["booth"], calls["scores"]) == (3, 2)
         assert calls["image"] == 0
+
+    def test_replay_rotates_once(self, calls):
+        # one Booth pass per end of the replay, none per move
+        rng = random.Random("whitehead/cost/replay")
+        moves = tuple(rng.choice(all_moves(3)) for _ in range(12))
+        source = random_cyclic(rng, 3, 40)
+        target = source
+        for mv in moves:
+            target = apply_move(target, mv)
+        calls["booth"] = 0
+        assert verify_certificate(OrbitCertificate(moves, source, target, False), 3)
+        assert calls["booth"] <= 3
 
 
 class TestSameOrbit:
@@ -549,6 +647,19 @@ class TestSameOrbit:
     ])
     def test_certificate_outside_rank_rejected(self, cert):
         assert verify_certificate(cert, 2) is False
+
+    @pytest.mark.parametrize("source", ["aA", "1", "abBA", "ab"])
+    @pytest.mark.parametrize("target", ["aA", "1", "abBA", "ab"])
+    @pytest.mark.parametrize("moves", [(), (Multiplier(1, {1, 2}), Relabel((-2, 1)))])
+    def test_trivial_words_replay_without_raising(self, source, target, moves):
+        # automorphisms fix the identity, so only trivial to trivial holds
+        trivial = {"aA", "1", "abBA"}
+        for inverted in (False, True):
+            cert = OrbitCertificate(moves, parse_word(source), parse_word(target), inverted)
+            verdict = verify_certificate(cert, 2)
+            if source in trivial or target in trivial:
+                assert verdict is (source in trivial and target in trivial)
+            assert verdict is oracle_verify_certificate(cert, 2)
 
 
 class TestMoveSerialization:

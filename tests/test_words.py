@@ -36,6 +36,7 @@ from oracles import (
     enumerate_reduced,
     oracle_count_cyclically_reduced,
     oracle_least_rotation,
+    oracle_power_decomposition,
     oracle_random_cyclically_reduced,
     oracle_random_cyclically_reduced_up_to,
     oracle_substitute,
@@ -319,6 +320,32 @@ class TestPowers:
             assert (k >= 2) == self.brute_is_power(w, 2)
             # root itself is not a proper power
             assert not is_proper_power(root)
+
+    def test_empty_word_raises(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            power_decomposition(())
+
+    @pytest.mark.parametrize("m, max_len", [(2, 8), (3, 6)])
+    def test_every_short_word_matches_divisor_scan(self, m, max_len):
+        for t in range(1, max_len + 1):
+            for w in enumerate_cyclically_reduced(m, t):
+                assert power_decomposition(w) == oracle_power_decomposition(w), w
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_powers_and_near_powers_match_divisor_scan(self, m):
+        # u^k for seeded roots, and u^k with one letter changed where the
+        # result stays cyclically reduced
+        rng = random.Random(f"words/powers/{m}")
+        letters = [s * g for g in range(1, m + 1) for s in (1, -1)]
+        for k in (1, 2, 3, 4, 6, 12, 60, 64, 125):
+            for _ in range(3):
+                w = random_cyclically_reduced(m, rng.randint(1, 12), rng) * k
+                assert power_decomposition(w) == oracle_power_decomposition(w), w
+                i = rng.randrange(len(w))
+                for x in letters:
+                    near = w[:i] + (x,) + w[i + 1:]
+                    if x != w[i] and is_cyclically_reduced(near):
+                        assert power_decomposition(near) == oracle_power_decomposition(near)
 
 
 class TestTextForm:
