@@ -42,16 +42,24 @@ numbered in the order the path first meets them, so it is the identity.
 Equal graphs and paths mean equal choices: each node of the search tree
 is visited once.
 
-Each search state is one generator frame.  It counts itself against the
-budget and prunes; then it yields one child state per choice, adding
-that choice's edge before the yield and removing it when resumed.  A
-short loop steps the top frame of an explicit stack: the search depth
-equals the word length, and the half-relator subwords of condition (3)
-run to thousands of letters, far past Python's recursion limit.
+The search is one loop over frames indexed by depth.  A state at depth
+``j`` reads ``word[j]``, so at most one frame is live per depth, and each
+frame's fields (its vertex, its vertex count, the next target vertex to
+try or a forced-step mark, the edge its step crosses, and the label bit
+its edge added) sit in int lists indexed by depth, made once per call.
+Entering a frame counts it against the budget and prunes; leaving a
+child returns to the frame one level up, which removes that child's
+edge and tries its next target.  The loop stores only ints in lists and
+a dict sized by the edges, so no search state allocates a container or
+leaves garbage for the cyclic collector.  The search depth equals the
+word length, and the half-relator subwords of condition (3) run to
+thousands of letters, far past Python's recursion limit.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,9 +101,12 @@ class ReadabilityQuery:
             raise ValueError("word must be nonempty")
         if not is_reduced(self.word):
             raise ValueError("word must be freely reduced")
-        for x in self.word:
-            if not 1 <= abs(x) <= self.m:
-                raise ValueError(f"letter {x} outside alphabet of rank {self.m}")
+        # A reduced word has no letter 0, so min and max find any bad
+        # letter in C; the loop only names the first.
+        if min(self.word) < -self.m or max(self.word) > self.m:
+            for x in self.word:
+                if not 1 <= abs(x) <= self.m:
+                    raise ValueError(f"letter {x} outside alphabet of rank {self.m}")
         if not 0 < self.mu <= 1:
             raise ValueError("edge budget mu must satisfy 0 < mu <= 1")
         if self.rank_bound < 0:
@@ -149,10 +160,6 @@ def witness_is_valid(query: ReadabilityQuery, graph: FGraph, path: Path) -> bool
     return True
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def is_readable(query: ReadabilityQuery) -> ReadabilityAnswer:
     """Decide readability, producing a witness for positive answers.
 
@@ -160,12 +167,17 @@ def is_readable(query: ReadabilityQuery) -> ReadabilityAnswer:
     :func:`witness_is_valid` accepts; ``NotReadable`` means no witness
     exists) unless the node budget runs out, in which case the verdict
     is ``Unknown``.
+
+    >>> ans = is_readable(ReadabilityQuery((1, 2, 1, 2), 2, Fraction(1, 2), 1))
+    >>> ans.verdict, ans.nodes_expanded, ans.graph.edges
+    ('Readable', 7, {0: (0, 1, 1), 1: (1, 0, 2)})
     """
     word = query.word
     l = len(word)
     max_e = query.edge_budget
+    labels = set(map(abs, word))
 
-    if len({abs(x) for x in word}) > max_e:
+    if len(labels) > max_e:
         # Every distinct generator in the word needs its own edge.
         return ReadabilityAnswer(NOT_READABLE)
     if query.mu == 1:
@@ -175,81 +187,87 @@ def is_readable(query: ReadabilityQuery) -> ReadabilityAnswer:
         path_steps = g.add_path(g.add_vertex(), None, word)
         return ReadabilityAnswer(READABLE, g, Path(0, path_steps))
 
-    # Distinct generators still missing from the graph at each suffix.
-    suffix_labels = [frozenset()] * (l + 1)
-    for j in range(l - 1, -1, -1):
-        suffix_labels[j] = suffix_labels[j + 1] | {abs(word[j])}
-
-    # slot (v, x) -> (u, edge_id, direction): reading x at v crosses the
-    # recorded edge to u.  Folded means each slot holds at most one edge.
-    trans: dict[tuple[int, int], tuple[int, int, int]] = {}
-    edges: list[tuple[int, int, int]] = []  # (origin, target, label)
-    label_count = [0] * (query.m + 1)  # edges carrying each generator
-    steps: list[tuple[int, int]] = []
-    nodes = 0
-    found: Optional[tuple[FGraph, Path]] = None  # the witness, once met
-
-    def add_edge(cur: int, x: int, u: int) -> None:
-        eid, lab = len(edges), abs(x)
-        edges.append((cur, u, lab) if x > 0 else (u, cur, lab))
-        direction = 1 if x > 0 else -1
-        trans[(cur, x)] = (u, eid, direction)
-        trans[(u, -x)] = (cur, eid, -direction)
-        steps.append((eid, direction))
-        label_count[lab] += 1
-
-    def remove_edge(cur: int, x: int, u: int) -> None:
-        edges.pop()
-        steps.pop()
-        del trans[(cur, x)], trans[(u, -x)]
-        label_count[abs(x)] -= 1
-
-    def state(j: int, cur: int, n_vertices: int, rank: int):
-        # One search state: having read word[:j], standing at vertex cur.
-        nonlocal nodes, found
-        nodes += 1
-        if query.node_budget is not None and nodes > query.node_budget:
-            raise _BudgetExhausted
-        e_now = len(edges)
-        if e_now + sum(not label_count[lab] for lab in suffix_labels[j]) > max_e:
-            return
-        if j == l:
-            # Every vertex lies on the path, so every vertex has a degree.
-            deg = Counter(v for o, t, _ in edges for v in (o, t))
-            if query.require_low_degree and min(deg.values()) >= 2 * query.m:
-                return
-            found = (FGraph.from_edges(edges), Path(0, tuple(steps)))
-            return
-        x = word[j]
-        hit = trans.get((cur, x))
-        if hit is not None:
-            # Folded: the existing edge is the only way to read x here.
-            u, eid, direction = hit
-            steps.append((eid, direction))
-            yield state(j + 1, u, n_vertices, rank)
-            steps.pop()
-        elif e_now < max_e:
-            if rank < query.rank_bound:
-                for u in range(n_vertices):
-                    if (u, -x) not in trans:
-                        add_edge(cur, x, u)
-                        yield state(j + 1, u, n_vertices, rank + 1)
-                        remove_edge(cur, x, u)
-            add_edge(cur, x, n_vertices)
-            yield state(j + 1, n_vertices, n_vertices + 1, rank)
-            remove_edge(cur, x, n_vertices)
-
-    stack = [state(0, 0, 1, 0)]
-    try:
-        while stack and found is None:
-            child = next(stack[-1], None)
-            if child is None:
-                stack.pop()
-            else:
-                stack.append(child)
-    except _BudgetExhausted:
-        return ReadabilityAnswer(UNKNOWN, nodes_expanded=nodes)
-
-    if found is None:
-        return ReadabilityAnswer(NOT_READABLE, nodes_expanded=nodes)
-    return ReadabilityAnswer(READABLE, *found, nodes)
+    # Label bit i belongs to the generator read for the last time at
+    # lasts[i], so the generators still to read at depth j are the bits
+    # from bisect_left(lasts, j) up.
+    rev = word[::-1]
+    lasts = sorted(l - 1 - min(rev.index(y) for y in (g, -g) if y in rev) for g in labels)
+    bit = {}
+    for i, p in enumerate(lasts):
+        bit[word[p]] = bit[-word[p]] = 1 << i
+    absent = (1 << len(lasts)) - 1  # bits of generators on no edge yet
+    # Slot (v, x) has key v * width + x; it holds the id of the edge that
+    # reading x at v crosses.  Folded means each slot holds at most one edge.
+    width = 2 * max(labels) + 1
+    trans: dict[int, int] = {}
+    ends = [0] * max_e  # per edge id, the sum of its two endpoints
+    at = [0] * (l + 1)  # the frame's vertex
+    n_vertices = [1] * (l + 1)
+    nxt = [0] * l  # next target vertex to try, or -1 for a forced step
+    eid = [0] * l  # the edge the frame's step crosses
+    new_bit = [0] * l  # the label bit the frame's edge added to the graph
+    budget = math.inf if query.node_budget is None else query.node_budget
+    rank_bound = query.rank_bound
+    e = nodes = j = 0
+    entering = True
+    while j >= 0:
+        if entering:
+            # One search state: having read word[:j], standing at at[j].
+            nodes += 1
+            if nodes > budget:
+                return ReadabilityAnswer(UNKNOWN, nodes_expanded=nodes)
+            if absent and e + (absent >> bisect_left(lasts, j)).bit_count() > max_e:
+                j, entering = j - 1, False
+                continue
+            if j == l:
+                edges = [None] * e
+                for i in range(l):
+                    if nxt[i] >= 0:
+                        x = word[i]
+                        edges[eid[i]] = (at[i], at[i + 1], x) if x > 0 else (at[i + 1], at[i], -x)
+                # Every vertex lies on the path, so every vertex has a degree.
+                deg = Counter(v for o, t, _ in edges for v in (o, t))
+                if not query.require_low_degree or min(deg.values()) < 2 * query.m:
+                    steps = tuple((eid[i], 1 if word[i] > 0 else -1) for i in range(l))
+                    return ReadabilityAnswer(READABLE, FGraph.from_edges(edges),
+                                             Path(0, steps), nodes)
+                j, entering = j - 1, False
+                continue
+            x, cur = word[j], at[j]
+            h = trans.get(cur * width + x)
+            if h is not None:
+                # Folded: the existing edge is the only way to read x here.
+                nxt[j], eid[j], at[j + 1], n_vertices[j + 1] = -1, h, ends[h] - cur, n_vertices[j]
+                j += 1
+                continue
+            if e == max_e:
+                j, entering = j - 1, False
+                continue
+            # The graph is connected, so its rank is e - n_vertices + 1.
+            u = 0 if e - n_vertices[j] + 1 < rank_bound else n_vertices[j]
+        else:
+            u = nxt[j]
+            if u < 0:
+                j -= 1
+                continue
+            # Remove the edge this frame added, the newest one.
+            e -= 1
+            x, cur = word[j], at[j]
+            del trans[cur * width + x], trans[at[j + 1] * width - x]
+            absent |= new_bit[j]
+        # Children: an existing vertex whose matching slot is free, in
+        # increasing id, then the fresh vertex n.
+        n = n_vertices[j]
+        while u < n and u * width - x in trans:
+            u += 1
+        if u > n:
+            j -= 1
+            continue
+        trans[cur * width + x] = trans[u * width - x] = e
+        ends[e], eid[j], nxt[j], at[j + 1] = cur + u, e, u + 1, u
+        n_vertices[j + 1] = n + (u == n)
+        new_bit[j] = b = bit[x] & absent
+        absent ^= b
+        e += 1
+        j, entering = j + 1, True
+    return ReadabilityAnswer(NOT_READABLE, nodes_expanded=nodes)

@@ -367,6 +367,11 @@ class TestWordCommands:
         assert code == 2
         assert capsys.readouterr().out.strip() == "Unknown"
 
+    def test_readable_at_huge_rank(self, capsys):
+        # Nothing is sized by the rank, so m = 10**12 answers like m = 2.
+        assert run_cli(["readable", "abab", "--mu", "2/3", "--m", "1000000000000"]) == 0
+        assert capsys.readouterr() == ("Readable\n", "")
+
     def test_readable_json_witness(self, capsys):
         assert run_cli(["readable", "aa", "--mu", "1/2", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -1,5 +1,6 @@
 """Tests for path-readability of words in bounded graphs."""
 
+import gc
 import random
 import tracemalloc
 from fractions import Fraction
@@ -15,7 +16,7 @@ from relfold.readability import (
     is_readable,
     witness_is_valid,
 )
-from relfold.words import inverse, parse_word
+from relfold.words import format_word, inverse, parse_word, random_cyclically_reduced
 from oracles import enumerate_reduced, oracle_is_readable, oracle_memo_is_readable
 
 
@@ -51,6 +52,17 @@ class TestQuery:
     def test_rejects_letter_outside_alphabet(self):
         with pytest.raises(ValueError):
             ReadabilityQuery((1, 3), 2, Fraction(1, 2), 1)
+
+    def test_names_first_bad_letter_of_long_word(self):
+        word = (1, 2) * 999 + (1, -3)
+        with pytest.raises(ValueError) as err:
+            ReadabilityQuery(word, 2, Fraction(1, 2), 1)
+        assert str(err.value) == "letter -3 outside alphabet of rank 2"
+
+    def test_letter_zero_is_not_reduced(self):
+        with pytest.raises(ValueError) as err:
+            ReadabilityQuery((1, 0, 2), 2, Fraction(1, 2), 1)
+        assert str(err.value) == "word must be freely reduced"
 
     def test_rejects_bad_mu(self):
         for mu in (0, Fraction(-1, 2), Fraction(3, 2)):
@@ -118,6 +130,14 @@ class TestFixedExamples:
         assert is_readable(q("aabb", "1/2", 2)).verdict == READABLE
         flagged = q("aabb", "1/2", 2, require_low_degree=True)
         assert is_readable(flagged).verdict == NOT_READABLE
+
+    def test_huge_alphabet_rank(self):
+        # Per-label state is sized by the word's letters, not by m.
+        m = 10**12
+        query = q("abab", "2/3", m - 1, m=m)
+        ans = is_readable(query)
+        assert (ans.verdict, ans.nodes_expanded) == (READABLE, 5)
+        assert witness_is_valid(query, ans.graph, ans.path)
 
     def test_budget_boundary_equality_allowed(self):
         # l = 4, mu = 1/2: exactly 2 edges allowed, and abab needs both.
@@ -294,6 +314,48 @@ class TestOracle:
             oracle_is_readable(q(long_word, "1/2", 1))
 
 
+def half_relator(m, t, seed):
+    """The first half-subword the condition-(3) sweep asks about, of a
+    seeded cyclically reduced relator of length t."""
+    r = random_cyclically_reduced(m, t, random.Random(seed))
+    return format_word(r[:(t + 1) // 2])
+
+
+HALF_R2 = half_relator(2, 1000, 1)
+HALF_R2_LONG = half_relator(2, 2000, 2)
+HALF_R3 = half_relator(3, 1000, 3)
+SHRINK_2 = "abAb" * 60 + "b" * 200
+SHRINK_3 = "acAc" * 60 + "bc" * 100
+
+# Long words, by name: first half-subwords of class-length relators under
+# both sweep queries ("mu": rank m - 1; "muL": rank L = m and a free
+# slot), and words whose set of generators still to read shrinks early.
+LONG_SEARCHES = [
+    ("relator-m2-t1000-mu-250", HALF_R2, 2, "1/2", 1, False, 250, UNKNOWN, 251),
+    ("relator-m2-t1000-mu-5000", HALF_R2, 2, "1/2", 1, False, 5000, UNKNOWN, 5001),
+    ("relator-m2-t1000-muL-250", HALF_R2, 2, "1/2", 2, True, 250, UNKNOWN, 251),
+    ("relator-m2-t1000-muL-5000", HALF_R2, 2, "1/2", 2, True, 5000, UNKNOWN, 5001),
+    ("relator-m2-t2000-mu-250", HALF_R2_LONG, 2, "1/2", 1, False, 250, UNKNOWN, 251),
+    ("relator-m2-t2000-mu-5000", HALF_R2_LONG, 2, "1/2", 1, False, 5000, UNKNOWN, 5001),
+    ("relator-m2-t2000-muL-250", HALF_R2_LONG, 2, "1/2", 2, True, 250, UNKNOWN, 251),
+    ("relator-m2-t2000-muL-5000", HALF_R2_LONG, 2, "1/2", 2, True, 5000, UNKNOWN, 5001),
+    ("relator-m3-t1000-mu-250", HALF_R3, 3, "1/2", 2, False, 250, UNKNOWN, 251),
+    ("relator-m3-t1000-mu-5000", HALF_R3, 3, "1/2", 2, False, 5000, UNKNOWN, 5001),
+    ("relator-m3-t1000-muL-250", HALF_R3, 3, "1/2", 3, True, 250, UNKNOWN, 251),
+    ("relator-m3-t1000-muL-5000", HALF_R3, 3, "1/2", 3, True, 5000, UNKNOWN, 5001),
+    ("abAb^60.b^200-mu-250", SHRINK_2, 2, "1/2", 1, False, 250, UNKNOWN, 251),
+    ("abAb^60.b^200-mu-5000", SHRINK_2, 2, "1/2", 1, False, 5000, READABLE, 1537),
+    ("abAb^60.b^200-muL-250", SHRINK_2, 2, "1/2", 2, True, 250, UNKNOWN, 251),
+    ("abAb^60.b^200-muL-5000", SHRINK_2, 2, "1/2", 2, True, 5000, READABLE, 1098),
+    ("acAc^60.bc^100-mu-250", SHRINK_3, 3, "1/2", 2, False, 250, UNKNOWN, 251),
+    ("acAc^60.bc^100-mu-5000", SHRINK_3, 3, "1/2", 2, False, 5000, READABLE, 441),
+    ("acAc^60.bc^100-muL-250", SHRINK_3, 3, "1/2", 3, True, 250, UNKNOWN, 251),
+    ("acAc^60.bc^100-muL-5000", SHRINK_3, 3, "1/2", 3, True, 5000, READABLE, 641),
+    ("abAb^20.b^60-eighth", "abAb" * 20 + "b" * 60, 2, "1/8", 1, False, 5000, NOT_READABLE, 935),
+    ("acAc^20.bc^40-eighth", "acAc" * 20 + "bc" * 40, 3, "1/8", 1, False, 5000, NOT_READABLE,
+     1276),
+]
+
 # (word, m, mu, rank bound, free-slot flag, node budget) -> (verdict, nodes).
 # The membership sweep spends one shared budget by ``nodes_expanded``, so
 # the search must keep visiting exactly these many states.
@@ -313,7 +375,7 @@ PINNED_SEARCHES = [
     ("aabbaBBAbbaa", 2, "1/2", 1, False, 30, UNKNOWN, 31),
     ("aabbaBBAbbaa", 2, "1/2", 2, True, 500, READABLE, 23),
     ("abbaBAAbaBBabbAB", 2, "1/3", 1, True, 100, NOT_READABLE, 40),
-]
+] + [pytest.param(*case, id=name) for name, *case in LONG_SEARCHES]
 
 
 class TestPinnedSearch:
@@ -379,6 +441,14 @@ class TestNoMemo:
             count += 1
         assert count > 50000
 
+    @pytest.mark.parametrize("word,m,mu,rb,flag,budget",
+                             [pytest.param(*case[1:7], id=case[0]) for case in LONG_SEARCHES])
+    def test_long_words_agree(self, word, m, mu, rb, flag, budget):
+        query = q(word, mu, rb, m=m, require_low_degree=flag, node_budget=budget)
+        want, hits = oracle_memo_is_readable(query)
+        assert hits == 0
+        assert same_answer(is_readable(query), want)
+
     def test_search_memory_is_bounded(self, default_class_relator):
         # The search keeps one path of states, so its memory grows with
         # the word's length, not with the number of nodes it expands.
@@ -392,3 +462,25 @@ class TestNoMemo:
             tracemalloc.stop()
         assert ans.verdict == UNKNOWN
         assert peak < 5 * 2**20, peak
+
+
+class TestNoCyclicGarbage:
+    # A search allocates no container per node, so it leaves nothing for
+    # the cyclic collector; the generator search left 2126 objects on the
+    # Unknown case and 41 on the Readable one.
+    @pytest.mark.parametrize("word,mu,budget,verdict", [
+        (random_reduced(random.Random(600), 2, 600), "1/2", 250, UNKNOWN),
+        ((1, 2, 1, 2), "1/2", None, READABLE),
+        ((1, 2, -1, -2), "1/2", None, NOT_READABLE),
+    ], ids=["unknown", "readable", "not-readable"])
+    def test_search_leaves_no_cycles(self, word, mu, budget, verdict):
+        query = q(word, mu, 1, node_budget=budget)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            ans = is_readable(query)
+            assert (ans.verdict, gc.collect()) == (verdict, 0)
+        finally:
+            if was_enabled:
+                gc.enable()
