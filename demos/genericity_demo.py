@@ -7,13 +7,8 @@ exhaustively checkable only for short relators, so the sampler runs it
 under a node budget and reports what it could not settle.
 """
 
-from relfold.genericity import (
-    check_membership,
-    default_params,
-    membership_report_jsonable,
-    sample_genericity,
-    sample_table_csv,
-)
+from relfold.codec import membership_report_jsonable, sample_table_csv
+from relfold.genericity import check_membership, default_params, sample_genericity
 from relfold.smallcancel import Presentation
 from relfold.words import Alphabet, parse_word
 

@@ -10,8 +10,9 @@ class violation is witnessed.  Every run yields a replayable trace.
 import json
 import random
 
+from relfold.codec import trace_jsonable
 from relfold.genericity import default_params
-from relfold.nielsen import reduce_tuple, trace_jsonable, verify_trace
+from relfold.nielsen import reduce_tuple, verify_trace
 from relfold.smallcancel import Presentation, check_Cprime
 from relfold.words import (
     Alphabet,

@@ -27,7 +27,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import genericity, iso, nielsen, readability, whitehead
+from . import codec, genericity, iso, nielsen, readability, whitehead
 from .genericity import ClassParams, default_params
 from .smallcancel import Presentation
 from .words import Alphabet, format_word, free_reduce, parse_word
@@ -118,12 +118,16 @@ def params_from_args(args, m: int) -> ClassParams:
     return ClassParams(lam, mu, L)
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 def _print(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +139,7 @@ def cmd_check(args) -> int:
     params = params_from_args(args, p.alphabet.m)
     report = genericity.check_membership(p, params, args.budget)
     if args.json:
-        _print(_dump(genericity.membership_report_jsonable(report)))
+        _print(codec.dump(codec.membership_report_jsonable(report)))
     else:
         line = f"verdict: {report.verdict}"
         if report.failed_condition:
@@ -148,39 +152,16 @@ def cmd_check(args) -> int:
     }[report.verdict]
 
 
-def _reduce_payload(verdict) -> dict:
-    out: dict = {"kind": verdict.kind}
-    if verdict.kind == nielsen.WHOLE_GROUP:
-        t = verdict.trace
-        out["moves"] = sum(rec.detail["moves"] for rec, _ in t.steps)
-        out["surgeries"] = sum(1 for rec, _ in t.steps if rec.kind == "AO")
-        out["final_tuple"] = [format_word(w) for w in t.final_tuple]
-        out["conjugator"] = format_word(t.conjugator)
-    elif verdict.kind == nielsen.CERTIFIED_FREE:
-        out["rank"] = verdict.rank
-        out["basis"] = [format_word(w) for w in verdict.basis]
-        out["reason"] = verdict.reason
-    else:
-        out["condition"] = verdict.condition
-        if verdict.condition == "C1":
-            c1 = genericity.cprime_jsonable(verdict.cprime)
-            del c1["ok"]
-            out.update(c1)
-        elif verdict.condition == "C2":
-            out["powers"] = genericity.powers_jsonable(verdict.powers)
-        else:
-            out["witness"] = nielsen.witness_jsonable(verdict.witness)
-    return out
-
-
 def cmd_reduce(args) -> int:
     p = load_presentation(args.presentation)
     params = params_from_args(args, p.alphabet.m)
     tpl = tuple(parse_word(w, p.alphabet.m) for w in args.words)
     verdict = nielsen.reduce_tuple(tpl, p, params)
-    payload = _reduce_payload(verdict)
+    if args.trace and verdict.kind == nielsen.WHOLE_GROUP:
+        _write(args.trace, codec.dump(codec.trace_jsonable(verdict.trace)))
+    payload = codec.reduction_jsonable(verdict)
     if args.json:
-        _print(_dump(payload))
+        _print(codec.dump(payload))
     else:
         line = verdict.kind
         if verdict.kind == nielsen.WHOLE_GROUP:
@@ -190,9 +171,6 @@ def cmd_reduce(args) -> int:
         else:
             line += f" (condition {verdict.condition})"
         _print(line)
-    if args.trace and verdict.kind == nielsen.WHOLE_GROUP:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(_dump(nielsen.trace_jsonable(verdict.trace)))
     return {
         nielsen.WHOLE_GROUP: 0,
         nielsen.CERTIFIED_FREE: 1,
@@ -207,14 +185,14 @@ def cmd_verify(args) -> int:
             data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {args.trace}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"{args.trace}: not valid JSON: {exc}") from exc
     try:
-        trace = nielsen.trace_from_jsonable(data)
+        trace = codec.trace_from_jsonable(data)
     except ValueError as exc:
         raise UsageError(f"{args.trace}: not a trace document: {exc}") from exc
     valid = nielsen.verify_trace(trace, p)
-    _print(_dump({"valid": valid}) if args.json else ("valid" if valid else "invalid"))
+    _print(codec.dump({"valid": valid}) if args.json else ("valid" if valid else "invalid"))
     return 0 if valid else 1
 
 
@@ -228,7 +206,7 @@ def cmd_iso(args) -> int:
         assume_in_class=args.assume_in_class,
     )
     if args.json:
-        _print(_dump(iso.verdict_jsonable(verdict)))
+        _print(codec.dump(codec.verdict_jsonable(verdict)))
     else:
         line = verdict.kind
         if verdict.conditional:
@@ -254,12 +232,11 @@ def cmd_sample(args) -> int:
     table = genericity.sample_genericity(
         args.m, args.n, t_list, args.samples, params, args.budget, args.seed
     )
-    csv_text = genericity.sample_table_csv(table)
+    csv_text = codec.sample_table_csv(table)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        _write(args.csv, csv_text)
     if args.json:
-        _print(_dump(genericity.sample_table_jsonable(table)))
+        _print(codec.dump(codec.sample_table_jsonable(table)))
     elif not args.csv:
         sys.stdout.write(csv_text)
     return 0
@@ -278,23 +255,7 @@ def cmd_readable(args) -> int:
     )
     answer = readability.is_readable(query)
     if args.json:
-        payload: dict = {
-            "verdict": answer.verdict,
-            "nodes_expanded": answer.nodes_expanded,
-            "witness": None,
-        }
-        if answer.graph is not None:
-            payload["witness"] = {
-                "edges": [
-                    list(answer.graph.edges[e])
-                    for e in sorted(answer.graph.edges)
-                ],
-                "path": {
-                    "start": answer.path.start,
-                    "steps": [list(s) for s in answer.path.steps],
-                },
-            }
-        _print(_dump(payload))
+        _print(codec.dump(codec.readable_jsonable(answer)))
     else:
         _print(answer.verdict)
     return {
@@ -308,12 +269,7 @@ def cmd_whitehead_min(args) -> int:
     word = parse_word(args.word, args.m)
     minimal, moves = whitehead.minimize(word, args.m)
     if args.json:
-        _print(_dump({
-            "word": args.word,
-            "minimal": format_word(minimal),
-            "length": len(minimal),
-            "moves": [whitehead.move_jsonable(mv) for mv in moves],
-        }))
+        _print(codec.dump(codec.minimize_jsonable(args.word, minimal, moves)))
     else:
         _print(f"{format_word(minimal)} (length {len(minimal)})")
     return 0
@@ -324,12 +280,7 @@ def cmd_orbit(args) -> int:
     v = parse_word(args.word2, args.m)
     cert = whitehead.same_orbit(u, v, args.m)
     if args.json:
-        _print(_dump({
-            "equivalent": cert is not None,
-            "certificate": (
-                whitehead.certificate_jsonable(cert) if cert is not None else None
-            ),
-        }))
+        _print(codec.dump(codec.orbit_jsonable(cert)))
     else:
         _print("equivalent" if cert is not None else "not equivalent")
     return 0 if cert is not None else 1

@@ -89,6 +89,27 @@ class MoveRecord:
     detail: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class NielsenTrace:
+    """Record-by-record log linking the input tuple to the terminal basis.
+
+    ``steps`` holds (MoveRecord, snapshot) pairs, one per fold phase,
+    strip phase, base hop or surgery, where the snapshot is the
+    free-basis labels after the record; consecutive snapshots are tied
+    together by the record's two-way basis words.  ``initial_arrangement``
+    matches basis slots to input entries: entry ``+(i+1)`` means slot j
+    starts as input word i, ``-(i+1)`` as its inverse.  ``conjugator``
+    accumulates the base relocations, so the initial tuple is Nielsen-
+    equivalent to the conjugate of the final tuple by it.
+    """
+
+    initial_tuple: tuple
+    initial_arrangement: tuple
+    steps: tuple
+    final_tuple: tuple
+    conjugator: Word
+
+
 class FGraph:
     """Mutable labeled multigraph with optional base vertex."""
 

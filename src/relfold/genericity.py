@@ -35,12 +35,12 @@ from math import exp, log
 from random import Random
 from typing import Iterator, Optional
 
+from .codec import membership_report_jsonable  # re-export: bench/ reads it here
 from .readability import READABLE, UNKNOWN, ReadabilityQuery, is_readable
 from .smallcancel import CprimeResult, Presentation, check_Cprime
 from .words import (
     Alphabet,
     Word,
-    format_word,
     power_decomposition,
     random_cyclically_reduced,
     random_cyclically_reduced_up_to,
@@ -333,97 +333,3 @@ def _fit_decay_rate(rows) -> Optional[float]:
         return None
     slope, _ = statistics.linear_regression([t for t, _ in points], [y for _, y in points])
     return exp(slope)
-
-
-# ---------------------------------------------------------------------------
-# Serialization: CSV for tables, JSON-ready dicts for reports.
-# ---------------------------------------------------------------------------
-
-
-def _fraction_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
-
-
-def sample_table_csv(table: SampleTable) -> str:
-    """Render a table as CSV; an all-undetermined row gets fraction 0/0."""
-    lines = ["t,samples,pass_c1,pass_c2,pass_c3_checked,pass_all,unknown,fraction_num,fraction_den"]
-    for row in table.rows:
-        num, den = (
-            (row.fraction.numerator, row.fraction.denominator)
-            if row.fraction is not None
-            else (0, 0)
-        )
-        lines.append(
-            f"{row.t},{row.samples},{row.pass_c1},{row.pass_c2},"
-            f"{row.pass_c3_checked},{row.pass_all},{row.unknown},{num},{den}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def sample_table_jsonable(table: SampleTable) -> dict:
-    return {
-        "rows": [
-            {
-                "t": row.t,
-                "samples": row.samples,
-                "pass_c1": row.pass_c1,
-                "pass_c2": row.pass_c2,
-                "pass_c3_checked": row.pass_c3_checked,
-                "pass_all": row.pass_all,
-                "unknown": row.unknown,
-                "fraction": _fraction_str(row.fraction) if row.fraction is not None else None,
-            }
-            for row in table.rows
-        ],
-        "decay_rate": table.decay_rate,
-    }
-
-
-def cprime_jsonable(c: CprimeResult) -> dict:
-    """A JSON-ready view of a piece-bound (C1) result."""
-    return {
-        "ok": c.ok,
-        "piece": format_word(c.piece) if c.piece is not None else None,
-        "relator_index": c.relator_index,
-        "ratio": _fraction_str(c.ratio) if c.ratio is not None else None,
-    }
-
-
-def powers_jsonable(powers) -> list:
-    """A JSON-ready view of per-relator proper-power (C2) statuses."""
-    return [
-        {
-            "relator_index": st.relator_index,
-            "is_proper_power": st.is_power,
-            "root": format_word(st.root),
-            "exponent": st.exponent,
-        }
-        for st in powers
-    ]
-
-
-def membership_report_jsonable(report: MembershipReport) -> dict:
-    """A JSON-ready view of a membership report, with "C1"/"C2"/"C3" ids."""
-    c3 = None
-    if report.c3 is not None:
-        violation = None
-        if report.c3.violation is not None:
-            idx, w, which = report.c3.violation
-            violation = {
-                "relator_index": idx,
-                "subword": format_word(w),
-                "readability": which,
-            }
-        c3 = {
-            "violation": violation,
-            "checked_subwords": report.c3.checked_subwords,
-            "unknown_checks": report.c3.unknown_checks,
-            "complete": report.c3.complete,
-        }
-    return {
-        "verdict": report.verdict,
-        "failed_condition": report.failed_condition,
-        "C1": cprime_jsonable(report.c1),
-        "C2": powers_jsonable(report.c2),
-        "C3": c3,
-    }

@@ -19,14 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .codec import certificate_jsonable, verdict_jsonable  # re-export: bench/ reads it here
 from .genericity import IN_CLASS, ClassParams, check_membership
 from .smallcancel import Presentation
-from .whitehead import (
-    OrbitCertificate,
-    certificate_from_jsonable,
-    certificate_jsonable,
-    same_orbit,
-)
+from .whitehead import OrbitCertificate, same_orbit
 
 ISOMORPHIC = "Isomorphic"
 NOT_ISOMORPHIC = "NotIsomorphic"
@@ -90,49 +86,3 @@ def decide_isomorphic(
         return IsoVerdict(ISOMORPHIC, certificate=certificate, conditional=conditional)
     return IsoVerdict(NOT_ISOMORPHIC, reason=NOT_ISO_REASON, conditional=conditional)
 
-
-def verdict_jsonable(v: IsoVerdict) -> dict:
-    """JSON-ready verdict with the certificate payload when present."""
-    return {
-        "kind": v.kind,
-        "conditional": v.conditional,
-        "reason": v.reason,
-        "certificate": (
-            certificate_jsonable(v.certificate)
-            if v.certificate is not None
-            else None
-        ),
-    }
-
-
-def verdict_from_jsonable(data: dict) -> IsoVerdict:
-    """Rebuild a verdict; a malformed document raises ValueError.
-
-    All four keys must be present, so a document that lost its
-    ``conditional`` caveat is refused rather than read as unconditional.
-    ``kind`` must name a verdict, ``reason`` be a string or null and
-    ``conditional`` a bool (a string "false" would read as True); an
-    Isomorphic verdict needs a well-formed certificate and no other kind
-    may carry one.
-    """
-    if not isinstance(data, dict):
-        raise ValueError(f"not a verdict document: {data!r}")
-    missing = {"kind", "conditional", "reason", "certificate"} - data.keys()
-    if missing:
-        raise ValueError(f"verdict document lacks {sorted(missing)}")
-    kind, reason, cert = data["kind"], data["reason"], data["certificate"]
-    conditional = data["conditional"]
-    if kind not in (ISOMORPHIC, NOT_ISOMORPHIC, INAPPLICABLE):
-        raise ValueError(f"bad verdict kind {kind!r}")
-    if reason is not None and not isinstance(reason, str):
-        raise ValueError(f"bad reason {reason!r}")
-    if type(conditional) is not bool:
-        raise ValueError(f"bad conditional flag {conditional!r}")
-    if (kind == ISOMORPHIC) != (cert is not None):
-        raise ValueError(f"{kind} verdict with certificate {cert!r}")
-    return IsoVerdict(
-        kind=kind,
-        certificate=certificate_from_jsonable(cert) if cert is not None else None,
-        reason=reason,
-        conditional=conditional,
-    )

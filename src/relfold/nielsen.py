@@ -32,10 +32,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
+from .codec import trace_jsonable  # re-export: bench/ reads it here
 from .fgraph import (
-    MOVE_KINDS,
     FGraph,
     MoveRecord,
+    NielsenTrace,
     Path,
     apply_AO,
     arc_owner,
@@ -57,41 +58,13 @@ from .smallcancel import (
     find_long_relator_path,
     is_equal_in_G,
 )
-from .words import (
-    Word,
-    concat,
-    format_word,
-    free_reduce,
-    inverse,
-    parse_word,
-)
+from .words import Word, concat, free_reduce, inverse
 
 WHOLE_GROUP = "WholeGroup"
 CERTIFIED_FREE = "CertifiedFree"
 NOT_IN_CLASS = "NotInClass"
 
 FREE_REASON = "no long relator path ⇒ label homomorphism injective"
-
-
-@dataclass(frozen=True)
-class NielsenTrace:
-    """Record-by-record log linking the input tuple to the terminal basis.
-
-    ``steps`` holds (MoveRecord, snapshot) pairs, one per fold phase,
-    strip phase, base hop or surgery, where the snapshot is the
-    free-basis labels after the record; consecutive snapshots are tied
-    together by the record's two-way basis words.  ``initial_arrangement``
-    matches basis slots to input entries: entry ``+(i+1)`` means slot j
-    starts as input word i, ``-(i+1)`` as its inverse.  ``conjugator``
-    accumulates the base relocations, so the initial tuple is Nielsen-
-    equivalent to the conjugate of the final tuple by it.
-    """
-
-    initial_tuple: tuple
-    initial_arrangement: tuple
-    steps: tuple
-    final_tuple: tuple
-    conjugator: Word
 
 
 @dataclass(frozen=True)
@@ -473,136 +446,3 @@ def verify_trace(t: NielsenTrace, p: Presentation) -> bool:
     if free_reduce(t.conjugator) != accumulated:
         return False
     return current == tuple((i,) for i in range(1, m + 1))
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def _word_list(ws) -> list:
-    return [format_word(w) for w in ws]
-
-
-def trace_jsonable(t: NielsenTrace) -> dict:
-    """JSON-ready trace: replayable through :func:`verify_trace`.
-
-    Snapshots and conjugators are alphabet words in text form; the
-    two-way witness words are kept as integer lists because their letters
-    index basis slots, not alphabet generators.
-    """
-    return {
-        "initial_tuple": _word_list(t.initial_tuple),
-        "initial_arrangement": list(t.initial_arrangement),
-        "steps": [
-            {
-                "kind": record.kind,
-                "post_in_pre": [list(w) for w in record.post_in_pre],
-                "pre_in_post": [list(w) for w in record.pre_in_post],
-                "conjugator": format_word(record.conjugator),
-                "snapshot": _word_list(snapshot),
-            }
-            for record, snapshot in t.steps
-        ],
-        "final_tuple": _word_list(t.final_tuple),
-        "conjugator": format_word(t.conjugator),
-    }
-
-
-def _indices(values, limit: Optional[int] = None) -> tuple:
-    """Signed 1-based indices: nonzero ints, at most ``limit`` in size."""
-    values = tuple(values)
-    for k in values:
-        if type(k) is not int or k == 0 or (limit is not None and abs(k) > limit):
-            raise ValueError(f"bad basis index {k!r}")
-    return values
-
-
-def _words(texts) -> tuple:
-    if isinstance(texts, str):
-        raise ValueError(f"bad word list {texts!r}")
-    return tuple(parse_word(s) for s in texts)
-
-
-def trace_from_jsonable(data: dict) -> NielsenTrace:
-    """Rebuild a verifiable trace from its JSON form.
-
-    The records round-trip only what :func:`verify_trace` consumes.  A
-    malformed document raises ValueError: step kinds must be Fold, R or
-    AO, words strings and basis indices nonzero integers.
-    """
-    try:
-        initial = _words(data["initial_tuple"])
-        arrangement = _indices(data["initial_arrangement"], len(initial))
-        previous = tuple(
-            initial[k - 1] if k > 0 else inverse(initial[-k - 1])
-            for k in arrangement
-        )
-        steps = []
-        for row in data["steps"]:
-            snapshot = _words(row["snapshot"])
-            if row["kind"] not in MOVE_KINDS:
-                raise ValueError(f"bad step kind {row['kind']!r}")
-            record = MoveRecord(
-                kind=row["kind"],
-                pre_basis=previous,
-                post_basis=snapshot,
-                post_in_pre=tuple(_indices(w) for w in row["post_in_pre"]),
-                pre_in_post=tuple(_indices(w) for w in row["pre_in_post"]),
-                conjugator=parse_word(row["conjugator"]),
-            )
-            steps.append((record, snapshot))
-            previous = snapshot
-        return NielsenTrace(
-            initial_tuple=initial,
-            initial_arrangement=arrangement,
-            steps=tuple(steps),
-            final_tuple=_words(data["final_tuple"]),
-            conjugator=parse_word(data["conjugator"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad trace document: {exc!r}") from None
-
-
-def witness_jsonable(w: C3Witness) -> dict:
-    return {
-        "edges": [list(e) for e in w.edges],
-        "path": {"start": w.path.start, "steps": [list(s) for s in w.path.steps]},
-        "subword": format_word(w.subword),
-        "complement": format_word(w.complement),
-        "relator_index": w.relator_index,
-        "sign": w.sign,
-        "offset": w.offset,
-    }
-
-
-def _ints(values, size: int) -> tuple:
-    """A JSON list of ``size`` true ints (never bools)."""
-    if (not isinstance(values, list) or len(values) != size
-            or any(type(x) is not int for x in values)):
-        raise ValueError(f"bad integer list {values!r}")
-    return tuple(values)
-
-
-def witness_from_jsonable(data: dict) -> C3Witness:
-    """Rebuild a witness.  A malformed document raises ValueError: edges
-    are integer triples, path steps integer pairs, words strings, and the
-    path start, relator index, sign and offset ints."""
-    try:
-        edges, path = data["edges"], data["path"]
-        steps = path["steps"]
-        numbers = [path["start"], data["relator_index"], data["sign"], data["offset"]]
-        subword, complement = data["subword"], data["complement"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad witness document: {exc!r}") from None
-    if not isinstance(edges, list) or not isinstance(steps, list):
-        raise ValueError("witness edges and path steps must be lists")
-    start, relator_index, sign, offset = _ints(numbers, 4)
-    return C3Witness(
-        edges=tuple(_ints(e, 3) for e in edges),
-        path=Path(start, tuple(_ints(s, 2) for s in steps)),
-        subword=parse_word(subword),
-        complement=parse_word(complement),
-        relator_index=relator_index,
-        sign=sign,
-        offset=offset,
-    )

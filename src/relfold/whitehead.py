@@ -77,11 +77,9 @@ from . import words
 from .words import (
     Word,
     cyclic_reduce,
-    format_word,
     free_reduce,
     inverse,
     letter_key,
-    parse_word,
     signed_letters,
     substitute,
 )
@@ -504,69 +502,3 @@ def same_orbit(u: Word, v: Word, m: int) -> Optional[OrbitCertificate]:
     if not verify_certificate(cert, m):
         raise RuntimeError("assembled certificate failed to replay")
     return cert
-
-
-# ---------------------------------------------------------------------------
-# JSON shapes for moves and certificates.
-# ---------------------------------------------------------------------------
-
-
-def move_jsonable(mv) -> dict:
-    if isinstance(mv, Relabel):
-        return {"kind": "relabel", "images": list(mv.images)}
-    if isinstance(mv, Multiplier):
-        return {
-            "kind": "multiplier",
-            "letter": mv.letter,
-            "cut": sorted(mv.cut, key=letter_key),
-        }
-    raise TypeError(f"not a Whitehead move: {mv!r}")
-
-
-def _field(data, key: str):
-    if not isinstance(data, dict) or key not in data:
-        raise ValueError(f"no {key!r} in {data!r}")
-    return data[key]
-
-
-def _letters(values) -> tuple:
-    """A JSON list of signed letters: true ints, never bools."""
-    if not isinstance(values, list) or any(type(x) is not int for x in values):
-        raise ValueError(f"bad letter list {values!r}")
-    return tuple(values)
-
-
-def move_from_jsonable(data: dict):
-    """Rebuild a move; a malformed document raises ValueError."""
-    kind = _field(data, "kind")
-    if kind == "relabel":
-        return Relabel(_letters(_field(data, "images")))
-    if kind == "multiplier":
-        [letter] = _letters([_field(data, "letter")])
-        return Multiplier(letter, frozenset(_letters(_field(data, "cut"))))
-    raise ValueError(f"unknown move kind: {kind!r}")
-
-
-def certificate_jsonable(cert: OrbitCertificate) -> dict:
-    return {
-        "moves": [move_jsonable(mv) for mv in cert.moves],
-        "source": format_word(cert.source),
-        "target": format_word(cert.target),
-        "inverted": cert.inverted,
-    }
-
-
-def certificate_from_jsonable(data: dict) -> OrbitCertificate:
-    """Rebuild a certificate; a malformed document raises ValueError:
-    words must be strings, letters ints and ``inverted`` a bool."""
-    moves, inverted = _field(data, "moves"), _field(data, "inverted")
-    if not isinstance(moves, list):
-        raise ValueError(f"bad move list {moves!r}")
-    if type(inverted) is not bool:
-        raise ValueError(f"bad inverted flag {inverted!r}")
-    return OrbitCertificate(
-        moves=tuple(move_from_jsonable(d) for d in moves),
-        source=parse_word(_field(data, "source")),
-        target=parse_word(_field(data, "target")),
-        inverted=inverted,
-    )

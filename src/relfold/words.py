@@ -268,13 +268,6 @@ def canonical_rotation(w: Sequence[int]) -> Word:
     return w[k:] + w[:k]
 
 
-def cyclic_word(w: Sequence[int]) -> Word:
-    """Canonical cyclic-word representative: reduce, cyclically reduce,
-    then take the least rotation."""
-    core, _ = cyclic_reduce(free_reduce(w))
-    return canonical_rotation(core)
-
-
 def power_decomposition(w: Sequence[int]) -> tuple[Word, int]:
     """Write a nonempty cyclically reduced word as ``root^k`` with ``k``
     maximal; the empty word raises ``ValueError``.

@@ -1,6 +1,6 @@
 """Independent brute-force oracles for the tests: word enumeration, the
-transfer-matrix counts and draws of cyclically reduced words, every
-rotation and the least rotation, powers by a divisor scan, substitution
+transfer-matrix counts and draws of cyclically reduced words, the
+canonical cyclic word, every rotation and the least rotation, powers by a divisor scan, substitution
 one symbol at a time, the Whitehead descent, orbit form and closing
 relabel by enumeration, the orbit search and certificate replay that
 rotate every word they build,
@@ -8,7 +8,8 @@ readability of short words, the readability search with its old memo
 of failed states,
 one-move-at-a-time folding and stripping, maximal arcs by walking,
 pieces by pairwise prefixes, and the long-relator scan by a table over
-every position and vertex; and the document mutator of the fuzz tests.
+every position and vertex; and the document mutator of the fuzz tests,
+with decoders for the witness, certificate and verdict documents.
 
 ``oracle_is_readable`` does not search partial walks the way
 :func:`relfold.readability.is_readable` does.  A path spelling the word
@@ -47,6 +48,8 @@ from itertools import combinations, permutations, product
 from typing import Iterator
 
 from relfold.fgraph import FGraph, Path
+from relfold.iso import INAPPLICABLE, ISOMORPHIC, NOT_ISOMORPHIC, IsoVerdict
+from relfold.nielsen import C3Witness
 from relfold.readability import (
     NOT_READABLE,
     READABLE,
@@ -56,7 +59,9 @@ from relfold.readability import (
 )
 from relfold.smallcancel import LongRelatorPath
 from relfold.whitehead import (
+    Multiplier,
     OrbitCertificate,
+    Relabel,
     _closing_relabel,
     _fits_rank,
     _image_core,
@@ -71,9 +76,11 @@ from relfold.words import (
     Word,
     canonical_rotation,
     concat,
-    cyclic_word,
+    cyclic_reduce,
+    free_reduce,
     inverse,
     is_cyclically_reduced,
+    parse_word,
     signed_letters,
     word_key,
 )
@@ -181,6 +188,13 @@ def oracle_random_cyclically_reduced_up_to(m: int, t: int, rng) -> Word:
             return oracle_random_cyclically_reduced(m, k, rng)
         x -= c
     raise RuntimeError("unreachable")
+
+
+def cyclic_word(w: Word) -> Word:
+    """Canonical cyclic-word representative: reduce, cyclically reduce,
+    then take the least rotation."""
+    core, _ = cyclic_reduce(free_reduce(w))
+    return canonical_rotation(core)
 
 
 def cyclic_permutations(w: Word) -> list[Word]:
@@ -788,3 +802,110 @@ def mutate_document(doc, rng) -> list:
             parent[key] = copy.deepcopy(rng.choice(FUZZ_VALUES))
             mutations.append((key, parent[key]))
     return mutations
+
+
+# ---------------------------------------------------------------------------
+# Decoders for the documents that the library writes but never reads back
+# (it reads only traces).  The fuzz tests feed what they accept to
+# ``verify_witness`` and ``verify_certificate``; the verdict decoder keeps
+# the strict reading of an isomorphism verdict for a ``relfold verify`` of
+# verdicts.  Each raises ValueError on a malformed document.
+
+
+def _ints(values, size: int | None = None) -> tuple:
+    """A JSON list of true ints (never bools), of ``size`` entries if given."""
+    if (not isinstance(values, list) or (size is not None and len(values) != size)
+            or any(type(x) is not int for x in values)):
+        raise ValueError(f"bad integer list {values!r}")
+    return tuple(values)
+
+
+def witness_from_jsonable(data: dict) -> C3Witness:
+    """Rebuild a witness.  A malformed document raises ValueError: edges
+    are integer triples, path steps integer pairs, words strings, and the
+    path start, relator index, sign and offset ints."""
+    try:
+        edges, path = data["edges"], data["path"]
+        steps = path["steps"]
+        numbers = [path["start"], data["relator_index"], data["sign"], data["offset"]]
+        subword, complement = data["subword"], data["complement"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad witness document: {exc!r}") from None
+    if not isinstance(edges, list) or not isinstance(steps, list):
+        raise ValueError("witness edges and path steps must be lists")
+    start, relator_index, sign, offset = _ints(numbers, 4)
+    return C3Witness(
+        edges=tuple(_ints(e, 3) for e in edges),
+        path=Path(start, tuple(_ints(s, 2) for s in steps)),
+        subword=parse_word(subword),
+        complement=parse_word(complement),
+        relator_index=relator_index,
+        sign=sign,
+        offset=offset,
+    )
+
+
+def _field(data, key: str):
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f"no {key!r} in {data!r}")
+    return data[key]
+
+
+def move_from_jsonable(data: dict):
+    """Rebuild a move; a malformed document raises ValueError."""
+    kind = _field(data, "kind")
+    if kind == "relabel":
+        return Relabel(_ints(_field(data, "images")))
+    if kind == "multiplier":
+        [letter] = _ints([_field(data, "letter")])
+        return Multiplier(letter, frozenset(_ints(_field(data, "cut"))))
+    raise ValueError(f"unknown move kind: {kind!r}")
+
+
+def certificate_from_jsonable(data: dict) -> OrbitCertificate:
+    """Rebuild a certificate; a malformed document raises ValueError:
+    words must be strings, letters ints and ``inverted`` a bool."""
+    moves, inverted = _field(data, "moves"), _field(data, "inverted")
+    if not isinstance(moves, list):
+        raise ValueError(f"bad move list {moves!r}")
+    if type(inverted) is not bool:
+        raise ValueError(f"bad inverted flag {inverted!r}")
+    return OrbitCertificate(
+        moves=tuple(move_from_jsonable(d) for d in moves),
+        source=parse_word(_field(data, "source")),
+        target=parse_word(_field(data, "target")),
+        inverted=inverted,
+    )
+
+
+def verdict_from_jsonable(data: dict) -> IsoVerdict:
+    """Rebuild an isomorphism verdict; a malformed document raises ValueError.
+
+    All four keys must be present, so a document that lost its
+    ``conditional`` caveat is refused rather than read as unconditional.
+    ``kind`` must name a verdict, ``reason`` be a string or null and
+    ``conditional`` a bool (a string "false" would read as True); an
+    Isomorphic verdict needs a well-formed certificate and no other kind
+    may carry one.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"not a verdict document: {data!r}")
+    missing = {"kind", "conditional", "reason", "certificate"} - data.keys()
+    if missing:
+        raise ValueError(f"verdict document lacks {sorted(missing)}")
+    kind, reason, cert = data["kind"], data["reason"], data["certificate"]
+    conditional = data["conditional"]
+    if kind not in (ISOMORPHIC, NOT_ISOMORPHIC, INAPPLICABLE):
+        raise ValueError(f"bad verdict kind {kind!r}")
+    if reason is not None and not isinstance(reason, str):
+        raise ValueError(f"bad reason {reason!r}")
+    if type(conditional) is not bool:
+        raise ValueError(f"bad conditional flag {conditional!r}")
+    if (kind == ISOMORPHIC) != (cert is not None):
+        raise ValueError(f"{kind} verdict with certificate {cert!r}")
+    return IsoVerdict(
+        kind=kind,
+        certificate=certificate_from_jsonable(cert) if cert is not None else None,
+        reason=reason,
+        conditional=conditional,
+    )

@@ -16,7 +16,7 @@ from itertools import combinations
 
 from scipy.stats import chisquare
 
-from relfold import nielsen
+from relfold import codec, nielsen
 from relfold.fgraph import FGraph, Path
 from relfold.genericity import (
     UNDETERMINED,
@@ -54,7 +54,6 @@ from relfold.words import (
     Alphabet,
     concat,
     count_cyclically_reduced,
-    cyclic_word,
     free_reduce,
     inverse,
     is_cyclically_reduced,
@@ -63,7 +62,7 @@ from relfold.words import (
     random_cyclically_reduced,
     random_cyclically_reduced_up_to,
 )
-from oracles import enumerate_reduced, oracle_is_readable, oracle_max_piece
+from oracles import cyclic_word, enumerate_reduced, oracle_is_readable, oracle_max_piece
 
 A2 = Alphabet(2)
 SEED = 20250818
@@ -338,7 +337,7 @@ def test_criterion_5_nielsen_driver_at_2600_letters():
     verdict = reduce_tuple(tpl, p, params)
     assert verdict.kind == WHOLE_GROUP
     assert verify_trace(verdict.trace, p)
-    size = len(json.dumps(nielsen.trace_jsonable(verdict.trace)))
+    size = len(json.dumps(codec.trace_jsonable(verdict.trace)))
     assert size < 100_000, size
     report(5, f"reduce + verify at {sum(map(len, tpl))} letters, {size} B trace", t0, 10)
 

@@ -171,6 +171,15 @@ class TestReduce:
         assert doc["kind"] == "NotInClass"
         assert doc["condition"] == "C1"
 
+    def test_unwritable_trace_exits_usage(self, tmp_path, capsys, smooth_relator):
+        pres = write_presentation(tmp_path / "p.txt", 2, smooth_relator)
+        trace = tmp_path / "absent" / "t.json"
+        code = run_cli(["reduce", pres, "Ba", "b", *SMOOTH_FLAGS, "--trace", str(trace)])
+        assert code == EX_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot write {trace}" in captured.err
+
     def test_arity_mismatch_exits_usage(self, tmp_path, capsys, smooth_relator):
         pres = write_presentation(tmp_path / "p.txt", 2, smooth_relator)
         assert run_cli(["reduce", pres, "a", *SMOOTH_FLAGS]) == EX_USAGE
@@ -211,6 +220,19 @@ class TestVerify:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run_cli(["verify", pres, str(bad)]) == EX_USAGE
+
+    def test_deeply_nested_json_exits_usage(self, tmp_path, capsys, smooth_relator):
+        # the decoder recurses once per bracket, so deep nesting must not
+        # escape as a RecursionError traceback (exit 1 reads as "invalid")
+        pres = write_presentation(tmp_path / "p.txt", 2, smooth_relator)
+        bad = tmp_path / "deep.json"
+        for text in ("[" * 200000, "[" * 200000 + "]" * 200000):
+            bad.write_text(text)
+            capsys.readouterr()
+            assert run_cli(["verify", pres, str(bad)]) == EX_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{bad}: not valid JSON" in captured.err
 
     def test_non_trace_document_exits_usage(self, tmp_path, smooth_relator):
         pres = write_presentation(tmp_path / "p.txt", 2, smooth_relator)
@@ -332,6 +354,13 @@ class TestSample:
         assert run_cli(args + ["--seed", "2", "--csv", str(out2)]) == 0
         # same shape, (almost surely) different tallies; at minimum parse both
         assert out1.read_text().splitlines()[0] == out2.read_text().splitlines()[0]
+
+    def test_unwritable_csv_exits_usage(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "x.csv"
+        assert run_cli(self.BASE + ["--t", "40", "--csv", str(out)]) == EX_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot write {out}" in captured.err
 
     def test_seed_required(self, capsys):
         code = run_cli(["sample", "--m", "2", "--n", "1", "--samples", "4", "--t", "40"])

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import pytest
 
-from relfold import cli, nielsen
+from relfold import cli, codec, nielsen
 from relfold.fgraph import FGraph
 from relfold.genericity import default_params
 from relfold.smallcancel import Presentation, check_Cprime, find_long_relator_path
@@ -67,7 +67,7 @@ def c3_payload_text() -> str:
     params = default_params(2)
     witness = nielsen._fire_or_witness(g, find_long_relator_path(g, p, params.lam), p, params)
     verdict = nielsen.ReductionVerdict(nielsen.NOT_IN_CLASS, condition="C3", witness=witness)
-    return cli._dump(cli._reduce_payload(verdict))
+    return codec.dump(codec.reduction_jsonable(verdict))
 
 
 # ---------------------------------------------------------------------------

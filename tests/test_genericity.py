@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from relfold.codec import membership_report_jsonable, sample_table_csv, sample_table_jsonable
 from relfold.genericity import (
     IN_CLASS,
     NOT_IN_CLASS,
@@ -16,11 +17,8 @@ from relfold.genericity import (
     SampleTable,
     check_membership,
     default_params,
-    membership_report_jsonable,
     relevant_subwords,
     sample_genericity,
-    sample_table_csv,
-    sample_table_jsonable,
     validate_params,
 )
 from relfold import genericity

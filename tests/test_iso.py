@@ -6,6 +6,7 @@ from functools import lru_cache
 
 import pytest
 
+from relfold.codec import verdict_jsonable
 from relfold.genericity import default_params
 from relfold.iso import (
     INAPPLICABLE,
@@ -13,8 +14,6 @@ from relfold.iso import (
     NOT_ISOMORPHIC,
     IsoVerdict,
     decide_isomorphic,
-    verdict_from_jsonable,
-    verdict_jsonable,
 )
 from relfold.smallcancel import Presentation, check_Cprime
 from relfold.whitehead import (
@@ -28,13 +27,12 @@ from relfold.whitehead import (
 from relfold.words import (
     Alphabet,
     Word,
-    cyclic_word,
     inverse,
     is_proper_power,
     parse_word,
     random_cyclically_reduced,
 )
-from oracles import mutate_document
+from oracles import cyclic_word, mutate_document, verdict_from_jsonable
 
 A2 = Alphabet(2)
 PARAMS = default_params(2)

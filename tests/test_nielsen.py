@@ -9,7 +9,8 @@ from functools import lru_cache
 
 import pytest
 
-from relfold import cli, nielsen
+from relfold import codec, nielsen
+from relfold.codec import trace_from_jsonable, trace_jsonable, witness_jsonable
 from relfold.fgraph import FGraph, Path, bouquet, fold_all, remove_degree_one
 from relfold.genericity import ClassParams, default_params
 from relfold.nielsen import (
@@ -19,13 +20,9 @@ from relfold.nielsen import (
     C3Witness,
     reduce_tuple,
     rank_guard,
-    trace_from_jsonable,
-    trace_jsonable,
     verify_trace,
     verify_witness,
-    witness_from_jsonable,
     witness_graph,
-    witness_jsonable,
 )
 from relfold.smallcancel import (
     Presentation,
@@ -45,7 +42,7 @@ from relfold.words import (
     substitute,
     substitute_all,
 )
-from oracles import mutate_document, oracle_substitute
+from oracles import mutate_document, oracle_substitute, witness_from_jsonable
 from test_acceptance import grown_scrambled_tuple
 
 A2 = Alphabet(2)
@@ -698,7 +695,7 @@ def pinned_record(name, p, params, tpl):
     """The trace document of one pinned reduction, or the ``reduce --json``
     payload when the verdict carries no trace."""
     v = reduce_tuple(tpl, p, params)
-    doc = trace_jsonable(v.trace) if v.trace is not None else cli._reduce_payload(v)
+    doc = trace_jsonable(v.trace) if v.trace is not None else codec.reduction_jsonable(v)
     return {"case": name, "kind": v.kind, "document": json.loads(json.dumps(doc))}
 
 

@@ -1,5 +1,6 @@
 """Source checks that keep every soundness check alive under ``python -O``,
-and the library names the bench tracer wraps present."""
+every document format in one module, and the library names the bench
+tracer wraps present."""
 
 import ast
 import importlib.util
@@ -27,6 +28,28 @@ def test_library_has_no_assert_statements():
                   if isinstance(node, ast.Assert)]
     assert list(SRC.glob("*.py")), f"no modules under {SRC}"
     assert found == []
+
+
+def test_documents_are_shaped_in_codec_only():
+    # JSON and CSV forms live in codec.py, whose trace decoder is the only
+    # one in the library; other modules neither shape documents nor use json.
+    shapers, json_users = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name.endswith(("jsonable", "_csv")):
+                shapers.append(f"{path.name}:{node.name}")
+            if isinstance(node, ast.Import):
+                imported = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "json" for name in imported):
+                json_users.add(path.name)
+    assert "codec.py:trace_jsonable" in shapers
+    assert [s for s in shapers if not s.startswith("codec.py:")] == []
+    assert [s for s in shapers if s.endswith("from_jsonable")] == ["codec.py:trace_from_jsonable"]
+    assert json_users <= {"codec.py", "cli.py"}
 
 
 def test_bench_wrapped_names_exist():

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from relfold import whitehead, words
+from relfold.codec import certificate_jsonable, move_jsonable
 from relfold.smallcancel import Presentation, check_Cprime
 from relfold.whitehead import (
     MAX_MOVE_RANK,
@@ -23,12 +24,8 @@ from relfold.whitehead import (
     Relabel,
     apply_move,
     canonical_orbit_form,
-    certificate_from_jsonable,
-    certificate_jsonable,
     invert_move,
     minimize,
-    move_from_jsonable,
-    move_jsonable,
     multiplier_moves,
     relabel_moves,
     same_orbit,
@@ -36,7 +33,6 @@ from relfold.whitehead import (
 )
 from relfold.words import (
     Alphabet,
-    cyclic_word,
     format_word,
     inverse,
     is_proper_power,
@@ -44,7 +40,10 @@ from relfold.words import (
     random_cyclically_reduced,
 )
 from oracles import (
+    certificate_from_jsonable,
+    cyclic_word,
     enumerate_cyclically_reduced,
+    move_from_jsonable,
     mutate_document,
     oracle_canonical_orbit_form,
     oracle_closing_relabel,

@@ -14,7 +14,6 @@ from relfold.words import (
     concat,
     count_cyclically_reduced,
     cyclic_reduce,
-    cyclic_word,
     format_word,
     free_reduce,
     inverse,
@@ -32,6 +31,7 @@ from relfold.words import (
 )
 from oracles import (
     cyclic_permutations,
+    cyclic_word,
     enumerate_cyclically_reduced,
     enumerate_reduced,
     oracle_count_cyclically_reduced,
