@@ -13,9 +13,9 @@ from relfold.genericity import default_params
 from relfold.iso import decide_isomorphic
 from relfold.smallcancel import Presentation
 from relfold.whitehead import (
+    Relabel,
     apply_move,
     multiplier_moves,
-    relabel_moves,
     verify_certificate,
 )
 from relfold.words import Alphabet, format_word, parse_word, random_cyclically_reduced
@@ -30,7 +30,10 @@ def one_relator(r):
 def main():
     params = default_params(2)
     rng = random.Random(11)
-    moves = list(relabel_moves(2)) + list(multiplier_moves(2))
+    # the 8 signed permutations of a, b, each permutation with signs ++, +-, -+, --
+    relabels = [Relabel((s * x, t * y)) for x, y in ((1, 2), (2, 1))
+                for s in (1, -1) for t in (1, -1)]
+    moves = relabels + list(multiplier_moves(2))
 
     r = random_cyclically_reduced(2, 40, rng)
     image = r

@@ -9,10 +9,10 @@ certificate or None.
 import random
 
 from relfold.whitehead import (
+    Relabel,
     apply_move,
     minimize,
     multiplier_moves,
-    relabel_moves,
     same_orbit,
     verify_certificate,
 )
@@ -38,7 +38,10 @@ def main():
 
     print("\nRound trip through a random 5-move automorphism:")
     rng = random.Random(5)
-    moves = list(relabel_moves(2)) + list(multiplier_moves(2))
+    # the 8 signed permutations of a, b, each permutation with signs ++, +-, -+, --
+    relabels = [Relabel((s * x, t * y)) for x, y in ((1, 2), (2, 1))
+                for s in (1, -1) for t in (1, -1)]
+    moves = relabels + list(multiplier_moves(2))
     r = random_cyclically_reduced(2, 20, rng)
     image = r
     for _ in range(5):

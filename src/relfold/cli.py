@@ -30,7 +30,7 @@ from fractions import Fraction
 from . import codec, genericity, iso, nielsen, readability, whitehead
 from .genericity import ClassParams, default_params
 from .smallcancel import Presentation
-from .words import Alphabet, format_word, free_reduce, parse_word
+from .words import Alphabet, format_word, is_cyclically_reduced, parse_word
 
 EX_USAGE = 64
 
@@ -102,7 +102,7 @@ def load_presentation(path: str) -> Presentation:
             raise UsageError(f"{path}:{no}: {exc}") from exc
         if not w:
             raise UsageError(f"{path}:{no}: relator is trivial")
-        if free_reduce(w) != w or w[0] == -w[-1]:
+        if not is_cyclically_reduced(w):
             raise UsageError(f"{path}:{no}: relator is not cyclically reduced")
         relators.append(w)
     if not relators:
@@ -312,7 +312,6 @@ def build_parser() -> _Parser:
                     help="node budget for the condition-(3) readability sweep; "
                          "0 skips the sweep, and omitting it leaves the sweep "
                          "without a time bound")
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
     sp.set_defaults(func=cmd_check)
 
     sp = subs.add_parser("reduce", help="reduce a generating tuple against a presentation")
@@ -321,13 +320,11 @@ def build_parser() -> _Parser:
     _add_params_flags(sp)
     sp.add_argument("--trace", metavar="OUT.json", default=None,
                     help="write the move trace here on a WholeGroup verdict")
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
     sp.set_defaults(func=cmd_reduce)
 
     sp = subs.add_parser("verify", help="replay a reduction trace against a presentation")
     sp.add_argument("presentation", help="presentation file")
     sp.add_argument("trace", help="trace JSON written by reduce --trace")
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
     sp.set_defaults(func=cmd_verify)
 
     sp = subs.add_parser("iso", help="decide isomorphism of two one-relator presentations")
@@ -340,7 +337,6 @@ def build_parser() -> _Parser:
                          "leaves the sweep without a time bound")
     sp.add_argument("--assume-in-class", action="store_true",
                     help="skip membership certification; verdicts become conditional")
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
     sp.set_defaults(func=cmd_iso)
 
     sp = subs.add_parser("sample", help="estimate how often random presentations pass")
@@ -359,7 +355,6 @@ def build_parser() -> _Parser:
                          "leaves the sweep without a time bound")
     sp.add_argument("--csv", metavar="OUT.csv", default=None,
                     help="write the table here instead of stdout")
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
     sp.set_defaults(func=cmd_sample)
 
     sp = subs.add_parser("readable", help="can a graph within budget read this word?")
@@ -372,22 +367,21 @@ def build_parser() -> _Parser:
                     help="require a vertex of degree below 2m in the witness")
     sp.add_argument("--budget", type=int, default=None,
                     help="search node budget (must be positive)")
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
     sp.set_defaults(func=cmd_readable)
 
     sp = subs.add_parser("whitehead-min", help="minimize a cyclic word over Aut(F) moves")
     sp.add_argument("word", help="the word to minimize")
     sp.add_argument("--m", type=int, default=2, help="alphabet rank (default 2)")
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
     sp.set_defaults(func=cmd_whitehead_min)
 
     sp = subs.add_parser("orbit", help="find an automorphism linking two cyclic words")
     sp.add_argument("word1", help="source word")
     sp.add_argument("word2", help="target word")
     sp.add_argument("--m", type=int, default=2, help="alphabet rank (default 2)")
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
     sp.set_defaults(func=cmd_orbit)
 
+    for sp in subs.choices.values():
+        sp.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 
-from .fgraph import MOVE_KINDS, MoveRecord, NielsenTrace
+from .fgraph import MOVE_KINDS, MoveRecord, NielsenTrace, initial_basis
 from .whitehead import Multiplier, Relabel
-from .words import format_word, inverse, letter_key, parse_word
+from .words import format_word, letter_key, parse_word
 
 
 def dump(obj) -> str:
@@ -139,11 +139,11 @@ def trace_jsonable(t: NielsenTrace) -> dict:
     }
 
 
-def _indices(values, limit: int | None = None) -> tuple:
-    """Signed 1-based indices: nonzero ints, at most ``limit`` in size."""
+def _indices(values) -> tuple:
+    """Signed 1-based indices: nonzero ints."""
     values = tuple(values)
     for k in values:
-        if type(k) is not int or k == 0 or (limit is not None and abs(k) > limit):
+        if type(k) is not int or k == 0:
             raise ValueError(f"bad basis index {k!r}")
     return values
 
@@ -163,11 +163,8 @@ def trace_from_jsonable(data: dict) -> NielsenTrace:
     """
     try:
         initial = _words(data["initial_tuple"])
-        arrangement = _indices(data["initial_arrangement"], len(initial))
-        previous = tuple(
-            initial[k - 1] if k > 0 else inverse(initial[-k - 1])
-            for k in arrangement
-        )
+        arrangement = _indices(data["initial_arrangement"])
+        previous = initial_basis(initial, arrangement)
         steps = []
         for row in data["steps"]:
             snapshot = _words(row["snapshot"])

@@ -55,9 +55,6 @@ class Path:
     start: int
     steps: tuple = ()
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
 
 def reverse_steps(steps: Sequence[tuple]) -> tuple:
     """The (edge, dir) steps of a walk, traversed backward."""
@@ -108,6 +105,16 @@ class NielsenTrace:
     steps: tuple
     final_tuple: tuple
     conjugator: Word
+
+
+def initial_basis(initial_tuple: Sequence, arrangement: Sequence[int]) -> tuple:
+    """A trace's starting basis: slot j holds input entry ``arrangement[j]``
+    (1-based, inverted when negative); ``ValueError`` if no entry has it."""
+    for k in arrangement:
+        if not 0 < abs(k) <= len(initial_tuple):
+            raise ValueError(f"bad basis index {k!r}")
+    return tuple(initial_tuple[k - 1] if k > 0 else inverse(initial_tuple[-k - 1])
+                 for k in arrangement)
 
 
 class FGraph:

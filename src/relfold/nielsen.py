@@ -43,6 +43,7 @@ from .fgraph import (
     bouquet,
     fold_all,
     freely_equal,
+    initial_basis,
     is_alphabet_bouquet,
     relocate_base,
     remove_degree_one,
@@ -133,9 +134,7 @@ def verify_witness(w: C3Witness, p: Presentation, params: ClassParams) -> bool:
     r = p.relators[w.relator_index]
     if w.sign not in (1, -1) or type(w.offset) is not int or not 0 <= w.offset < len(r):
         return False
-    base = r if w.sign == 1 else inverse(r)
-    rotation = base[w.offset:] + base[:w.offset]
-    if tuple(w.subword) + tuple(w.complement) != rotation:
+    if tuple(w.subword) + tuple(w.complement) != p.member(w.relator_index, w.sign, w.offset):
         return False
     if 2 * len(w.subword) <= len(r):
         return False
@@ -321,10 +320,7 @@ def _match_arrangement(basis: tuple, words: tuple) -> tuple:
 
 
 def _accumulated_conjugator(steps) -> Word:
-    acc: Word = ()
-    for record, _ in steps:
-        acc = free_reduce(concat(acc, record.conjugator))
-    return acc
+    return concat(*(record.conjugator for record, _ in steps))
 
 
 def reduce_tuple(tpl, p: Presentation, params: ClassParams) -> ReductionVerdict:
@@ -421,16 +417,10 @@ def verify_trace(t: NielsenTrace, p: Presentation) -> bool:
     def in_G(u, v) -> bool:
         return is_equal_in_G(u, v, p)
 
-    if 0 in t.initial_arrangement:
-        return False  # 0 names no entry; [-0 - 1] would read the last one
     try:
-        current = tuple(
-            t.initial_tuple[k - 1] if k > 0 else inverse(t.initial_tuple[-k - 1])
-            for k in t.initial_arrangement
-        )
-    except IndexError:
+        current = initial_basis(t.initial_tuple, t.initial_arrangement)
+    except ValueError:
         return False
-    accumulated: Word = ()
     for record, snapshot in t.steps:
         snapshot = tuple(tuple(w) for w in snapshot)
         if tuple(tuple(w) for w in record.pre_basis) != current:
@@ -439,10 +429,9 @@ def verify_trace(t: NielsenTrace, p: Presentation) -> bool:
             return False
         if not witnesses_hold(record, freely_equal if record.kind in ("Fold", "R") else in_G):
             return False
-        accumulated = free_reduce(concat(accumulated, record.conjugator))
         current = snapshot
     if tuple(tuple(w) for w in t.final_tuple) != current:
         return False
-    if free_reduce(t.conjugator) != accumulated:
+    if free_reduce(t.conjugator) != _accumulated_conjugator(t.steps):
         return False
     return current == tuple((i,) for i in range(1, m + 1))

@@ -37,25 +37,26 @@ from .fgraph import FGraph, Path
 from .words import (
     Alphabet,
     Word,
+    _longest,
     concat,
     free_reduce,
     inverse,
     is_cyclically_reduced,
+    key_letter,
     letter_key,
 )
 
-
 def encode_word(w) -> str:
-    """Pack letters into characters (one char per letter, order-preserving)."""
-    return "".join(chr(33 + letter_key(x)) for x in w)
+    """Pack letters into characters (one char per letter, order-preserving).
+    Every letter up to ±557,039 has one; a letter without raises ``ValueError``."""
+    try:
+        return "".join(chr(33 + letter_key(x)) for x in w)
+    except (ValueError, OverflowError):  # chr(33 + letter_key(-557040)) is past 0x10FFFF
+        raise ValueError("letters past ±557,039 have no Dehn encoding") from None
 
 
 def decode_text(text: str) -> Word:
-    out = []
-    for c in text:
-        k = ord(c) - 33
-        out.append(k // 2 + 1 if k % 2 == 0 else -(k // 2 + 1))
-    return tuple(out)
+    return tuple(key_letter(ord(c) - 33) for c in text)
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,12 @@ class Presentation:
     @property
     def n(self) -> int:
         return len(self.relators)
+
+    def member(self, i: int, sign: int, offset: int) -> Word:
+        """Family member (i, sign, offset): relator i, inverted if sign is -1, rotated."""
+        r = self.relators[i]
+        base = r if sign == 1 else inverse(r)
+        return base[offset:] + base[:offset]
 
 
 # ---------------------------------------------------------------------------
@@ -107,20 +114,6 @@ def _shared_windows(p: Presentation, k: int):
                 yield i, w
 
 
-def _search_max(lo: int, hi: int, pred) -> int:
-    """Largest k in [lo, hi] with pred(k), assuming pred is downward closed;
-    returns lo - 1 when even pred(lo) fails."""
-    if lo > hi or not pred(lo):
-        return lo - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
 def max_piece(p: Presentation) -> tuple[int, Fraction]:
     """Exact maximum piece length and maximum |piece| / |relator| ratio:
     the longest piece overall, then the longest in each relator."""
@@ -128,9 +121,9 @@ def max_piece(p: Presentation) -> tuple[int, Fraction]:
     def has_piece(k: int, relator: Optional[int] = None) -> bool:
         return any(relator in (None, i) for i, _ in _shared_windows(p, k))
 
-    length = _search_max(1, max(len(r) for r in p.relators) - 1, has_piece)
-    ratio = max(Fraction(_search_max(1, min(length, len(r) - 1),
-                                     lambda k, i=i: has_piece(k, i)), len(r))
+    length = _longest(has_piece, max(len(r) for r in p.relators) - 1)
+    ratio = max(Fraction(_longest(lambda k, i=i: has_piece(k, i), min(length, len(r) - 1)),
+                         len(r))
                 for i, r in enumerate(p.relators))
     return length, ratio
 
@@ -277,8 +270,7 @@ def find_long_relator_path(g: FGraph, p: Presentation,
         need = (den - 3 * num) * L // den + 1  # least len_v beating the bound
         gap = max(need, 1)
         for sign in (1, -1):
-            base = r if sign == 1 else inverse(r)
-            xx = base + base
+            xx = 2 * p.member(i, sign, 0)
             for anchor in range(0, L + gap - 1, gap):
                 for v in g.vertices:
                     s, u = anchor, v
@@ -297,14 +289,12 @@ def find_long_relator_path(g: FGraph, p: Presentation,
         return None
     len_v, i, sign, offset, v0 = best
     len_v, sign = -len_v, -sign
-    r = p.relators[i]
-    base = r if sign == 1 else inverse(r)
-    rotation = base[offset:] + base[:offset]
+    rotation = p.member(i, sign, offset)
     v_word, y_word = rotation[:len_v], rotation[len_v:]
     path = g.trace_word(v0, v_word)
     if path is None or g.path_label(path) != v_word:
         raise RuntimeError("the long relator path does not read back")
-    L = len(r)
+    L = len(rotation)
     if len_v * den <= (den - 3 * num) * L:
         raise RuntimeError("the long relator path is too short")
     return LongRelatorPath(path=path, relator_index=i, sign=sign,

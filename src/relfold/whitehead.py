@@ -70,7 +70,6 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
 from typing import Optional
 
 from . import words
@@ -79,6 +78,7 @@ from .words import (
     cyclic_reduce,
     free_reduce,
     inverse,
+    key_letter,
     letter_key,
     signed_letters,
     substitute,
@@ -169,11 +169,9 @@ def apply_move(w: Word, mv) -> Word:
     return words.canonical_rotation(_image_core(w, mv))
 
 
-# The relabel group has 2^m * m! elements and there are 2m * 4^(m-1)
-# multiplier moves.  At rank 6 that is 46,080 and 12,288 moves, built in
-# under a second; rank 7 needs 645,120 relabels (about 130 MB), and every
-# descent and level-set node scores all 57,344 multiplier moves.  Larger
-# ranks are refused before anything is built.
+# There are 2m * 4^(m-1) multiplier moves: 12,288 at rank 6, built in
+# under a second.  At rank 7 every descent and level-set node would score
+# all 57,344, so larger ranks are refused before anything is built.
 MAX_MOVE_RANK = 6
 
 
@@ -182,17 +180,6 @@ def _check_move_rank(m: int) -> None:
         raise ValueError(
             f"Whitehead moves are enumerated up to rank {MAX_MOVE_RANK}, got {m}"
         )
-
-
-@lru_cache(maxsize=8)
-def relabel_moves(m: int) -> tuple[Relabel, ...]:
-    """The full relabel group: all 2^m * m! signed permutations."""
-    _check_move_rank(m)
-    return tuple(
-        Relabel(tuple(s * p for s, p in zip(signs, perm)))
-        for perm in permutations(range(1, m + 1))
-        for signs in product((1, -1), repeat=m)
-    )
 
 
 @lru_cache(maxsize=8)
@@ -322,14 +309,15 @@ def canonical_orbit_form(w: Word, m: int) -> Word:
     """
     _check_alphabet(w, m)
     if not words.is_cyclically_reduced(w):
-        raise ValueError("canonical_rotation needs a cyclically reduced word")
+        raise ValueError("canonical_orbit_form needs a cyclically reduced word")
     best, _ = _least_images(w, m)
-    return tuple(key // 2 + 1 if key % 2 == 0 else -(key // 2 + 1) for key in best)
+    return tuple(map(key_letter, best))
 
 
 def _closing_relabel(x: Word, target: Word, m: int) -> Relabel:
-    """The first relabel in :func:`relabel_moves` order that carries the
-    cyclic word ``x`` to ``target``, which has the same canonical form.
+    """The first relabel that carries the cyclic word ``x`` to ``target``,
+    which has the same canonical form, in the order of the generator
+    permutations and then of the signs, + before - in each place.
     On the generators x uses, such a relabel is one of x's winning greedy
     relabels followed by the inverse of one of target's; the generators x
     misses take the least unused generators, positively."""

@@ -33,6 +33,11 @@ def letter_key(x: int) -> int:
     return 2 * (abs(x) - 1) + (0 if x > 0 else 1)
 
 
+def key_letter(key: int) -> int:
+    """The signed letter whose ``letter_key`` is ``key``: a, A, b, B, ... from 0."""
+    return -(key // 2 + 1) if key % 2 else key // 2 + 1
+
+
 def signed_letters(m: int) -> list[int]:
     """The 2m signed letters of rank m in the order a, A, b, B, ..."""
     return [s * k for k in range(1, m + 1) for s in (1, -1)]
@@ -416,31 +421,40 @@ def random_cyclically_reduced(m: int, t: int, rng: random.Random) -> Word:
     (-1)^k more when z = P^k(-first).  So z finishes the word in
     (q^(k+1) + (-1)^k) / 2m ways, less (-1)^k when z = P^k(-first).  The
     count of each letter drawn is the total that the next draw divides.
+
+    All allowed letters but the twisted one have the same count, so a
+    draw's place among them in key order follows by division, in O(1) at
+    any rank.  At m = 1 that count is 0 at odd k.
     """
     if t < 1:
         raise ValueError("length must be at least 1")
-    letters = signed_letters(m)
     n = count_cyclically_reduced(m, t)
     total = n // (2 * m)
-    first = letters[rng.randrange(n) // total]
-    word = [first]
+    keys = [rng.randrange(n) // total]
+    f = keys[0]  # the first letter's key; f ^ 1 is its inverse's
     q = 2 * m - 1
     base = (q ** t - (-1) ** t) // (2 * m)  # base(t - 1)
-    for k in range(t - 2, -1, -1):
+    for k in range(t - 2, 0, -1):
         sign = -1 if k % 2 else 1
         base = (base + sign) // q  # q * base(k) = base(k + 1) + (-1)^k
-        twisted = first if k % 2 else -first  # P^k(-first)
-        back = -word[-1]
+        twisted = f if k % 2 else f ^ 1  # P^k(-first)
+        back = keys[-1] ^ 1
         x = rng.randrange(total)
-        for z in letters:
-            if z == back or (k == 0 and z == -first):
-                continue
-            total = base - sign if z == twisted else base
-            if x < total:
-                break
-            x -= total
-        word.append(z)
-    w = tuple(word)
+        jt = twisted - (back < twisted)  # the twisted key's place
+        if twisted == back or x < jt * base:
+            j = x // base
+        elif x < (jt + 1) * base - sign:
+            j = jt
+        else:
+            j = (x + sign) // base
+        keys.append(j + (j >= back))
+        total = base - sign if keys[-1] == twisted else base
+    if t > 1:  # k = 0: base(0) = 1, and the twisted -first is skipped
+        j = rng.randrange(total)
+        for skipped in sorted({keys[-1] ^ 1, f ^ 1}):
+            j += j >= skipped
+        keys.append(j)
+    w = tuple(map(key_letter, keys))
     if not is_cyclically_reduced(w):
         raise RuntimeError("sampled word is not cyclically reduced")
     return w

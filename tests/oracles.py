@@ -1,8 +1,8 @@
 """Independent brute-force oracles for the tests: word enumeration, the
 transfer-matrix counts and draws of cyclically reduced words, the
 canonical cyclic word, every rotation and the least rotation, powers by a divisor scan, substitution
-one symbol at a time, the Whitehead descent, orbit form and closing
-relabel by enumeration, the orbit search and certificate replay that
+one symbol at a time, the relabel group, the Whitehead descent, orbit
+form and closing relabel by enumeration, the orbit search and certificate replay that
 rotate every word they build,
 readability of short words, the readability search with its old memo
 of failed states,
@@ -62,6 +62,7 @@ from relfold.whitehead import (
     Multiplier,
     OrbitCertificate,
     Relabel,
+    _check_move_rank,
     _closing_relabel,
     _fits_rank,
     _image_core,
@@ -70,7 +71,6 @@ from relfold.whitehead import (
     canonical_orbit_form,
     invert_move,
     multiplier_moves,
-    relabel_moves,
 )
 from relfold.words import (
     Word,
@@ -358,6 +358,20 @@ def oracle_same_orbit(u: Word, v: Word, m: int):
     if not oracle_verify_certificate(cert, m):
         raise RuntimeError("assembled certificate failed to replay")
     return cert
+
+
+@lru_cache(maxsize=8)
+def relabel_moves(m: int) -> tuple[Relabel, ...]:
+    """The full relabel group: all 2^m * m! signed permutations, by
+    permutation and then by signs, +1 before -1 in each place.  This is
+    the order in which :func:`relfold.whitehead._closing_relabel` picks the
+    first relabel that closes a certificate."""
+    _check_move_rank(m)
+    return tuple(
+        Relabel(tuple(s * p for s, p in zip(signs, perm)))
+        for perm in permutations(range(1, m + 1))
+        for signs in product((1, -1), repeat=m)
+    )
 
 
 def oracle_canonical_orbit_form(w: Word, m: int) -> Word:

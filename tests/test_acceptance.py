@@ -46,7 +46,6 @@ from relfold.whitehead import (
     apply_move,
     minimize,
     multiplier_moves,
-    relabel_moves,
     same_orbit,
     verify_certificate,
 )
@@ -62,7 +61,13 @@ from relfold.words import (
     random_cyclically_reduced,
     random_cyclically_reduced_up_to,
 )
-from oracles import cyclic_word, enumerate_reduced, oracle_is_readable, oracle_max_piece
+from oracles import (
+    cyclic_word,
+    enumerate_reduced,
+    oracle_is_readable,
+    oracle_max_piece,
+    relabel_moves,
+)
 
 A2 = Alphabet(2)
 SEED = 20250818

@@ -1,7 +1,11 @@
 """Exit codes, file parsing, and byte-stable output for the CLI."""
 
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -374,6 +378,30 @@ class TestSample:
     def test_bad_t_list(self, capsys):
         assert run_cli(self.BASE + ["--t", "40;60"]) == EX_USAGE
         assert "malformed --t" in capsys.readouterr().err
+
+    @staticmethod
+    def run_child(m):
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["sample", "--m", str(m), "--t", "4", "--samples", "1", "--seed", "1", "--budget", "10"]
+        return subprocess.run([sys.executable, "-m", "relfold.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_letters_past_the_dehn_encoding_exit_usage(self):
+        # Drawing at rank 10**12 is O(1) a letter; the Dehn encoding then
+        # refuses letters past ±557,039 as a usage error, not a traceback.
+        proc = self.run_child(10**12)
+        assert proc.returncode == EX_USAGE
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert proc.stderr == "relfold: error: letters past ±557,039 have no Dehn encoding\n"
+
+    def test_rank_within_the_dehn_encoding_answers(self):
+        proc = self.run_child(500_000)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "t,samples,pass_c1,pass_c2,pass_c3_checked,pass_all,unknown,fraction_num,fraction_den",
+            "4,1,1,1,1,1,0,1,1",
+        ]
 
     def test_json_output(self, capsys):
         assert run_cli(self.BASE + ["--t", "40", "--json"]) == 0

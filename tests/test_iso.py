@@ -21,7 +21,6 @@ from relfold.whitehead import (
     apply_move,
     minimize,
     multiplier_moves,
-    relabel_moves,
     verify_certificate,
 )
 from relfold.words import (
@@ -32,7 +31,7 @@ from relfold.words import (
     parse_word,
     random_cyclically_reduced,
 )
-from oracles import cyclic_word, mutate_document, verdict_from_jsonable
+from oracles import cyclic_word, mutate_document, relabel_moves, verdict_from_jsonable
 
 A2 = Alphabet(2)
 PARAMS = default_params(2)

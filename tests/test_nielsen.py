@@ -11,7 +11,7 @@ import pytest
 
 from relfold import codec, nielsen
 from relfold.codec import trace_from_jsonable, trace_jsonable, witness_jsonable
-from relfold.fgraph import FGraph, Path, bouquet, fold_all, remove_degree_one
+from relfold.fgraph import FGraph, Path, bouquet, fold_all, initial_basis, remove_degree_one
 from relfold.genericity import ClassParams, default_params
 from relfold.nielsen import (
     CERTIFIED_FREE,
@@ -504,6 +504,21 @@ class TestVerifyTrace:
         assert verify_trace(v.trace, p)
         zero = dataclasses.replace(v.trace, initial_arrangement=(1, 0))
         assert not verify_trace(zero, p)
+
+    @pytest.mark.parametrize("bad", [0, 3, -3])
+    def test_arrangement_past_the_tuple_rejected(self, bad):
+        # 0 and -3 would read the last entry under Python indexing, 3 nothing
+        p = fixture_presentation()
+        v = reduce_tuple((parse_word("ab"), parse_word("B")), p, PARAMS)
+        words = v.trace.initial_tuple
+        assert initial_basis(words, (1, -2)) == (words[0], inverse(words[1]))
+        with pytest.raises(ValueError, match=f"bad basis index {bad}"):
+            initial_basis(words, (1, bad))
+        bad_trace = dataclasses.replace(v.trace, initial_arrangement=(1, bad))
+        assert not verify_trace(bad_trace, p)
+        doc = trace_jsonable(bad_trace)
+        with pytest.raises(ValueError, match="bad basis index"):
+            trace_from_jsonable(doc)
 
     def test_corrupted_snapshot_rejected(self):
         p = fixture_presentation()

@@ -61,6 +61,15 @@ class TestPresentation:
         q = Presentation(A2, ((1, 2),))
         assert {p: 1}[q] == 1
 
+    def test_member_is_a_rotation_of_the_relator_or_its_inverse(self):
+        rng = random.Random(301)
+        for _ in range(40):
+            p = random_presentation(rng)
+            for i, r in enumerate(p.relators):
+                for sign, base in ((1, r), (-1, inverse(r))):
+                    for offset in range(len(r)):
+                        assert p.member(i, sign, offset) == base[offset:] + base[:offset]
+
 
 class TestEncoding:
     def test_round_trip(self):
@@ -71,6 +80,13 @@ class TestEncoding:
 
     def test_order_matches_letter_order(self):
         assert encode_word((1,)) < encode_word((-1,)) < encode_word((2,))
+
+    def test_letters_past_the_encoding_raise_value_error(self):
+        top = 557_039
+        assert decode_text(encode_word((top, -top, top + 1))) == (top, -top, top + 1)
+        for w in [(-(top + 1),), (1, top + 2), (10**12,), (-(10**30),)]:
+            with pytest.raises(ValueError, match="letters past ±557,039 have no Dehn encoding"):
+                encode_word(w)
 
 
 class TestPieces:

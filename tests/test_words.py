@@ -20,12 +20,14 @@ from relfold.words import (
     is_cyclically_reduced,
     is_proper_power,
     is_reduced,
+    key_letter,
     least_rotation_offset,
     letter_key,
     parse_word,
     power_decomposition,
     random_cyclically_reduced,
     random_cyclically_reduced_up_to,
+    signed_letters,
     substitute,
     substitute_all,
 )
@@ -227,6 +229,11 @@ class TestCyclicWords:
     def test_letter_order(self):
         # a < A < b < B
         assert sorted([2, -1, 1, -2], key=letter_key) == [1, -1, 2, -2]
+        # key_letter inverts letter_key, and the keys of rank m are 0 .. 2m - 1
+        for m in range(1, 7):
+            letters = signed_letters(m)
+            assert [key_letter(letter_key(x)) for x in letters] == letters
+            assert sorted(map(letter_key, letters)) == list(range(2 * m))
 
     def test_canonical_rotation(self):
         assert canonical_rotation((2, 1, 1)) == (1, 1, 2)
@@ -423,7 +430,7 @@ class TestAgainstTransferTable:
                 assert (count_cyclically_reduced(m, t) == rivin_count(m, t)
                         == oracle_count_cyclically_reduced(m, t)), (m, t)
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_exact_length_draws_match_table(self, m):
         for t in (*range(1, 12), 16, 17, 31, 64, 99, 128, 200):
             for seed in range(3):
@@ -433,7 +440,7 @@ class TestAgainstTransferTable:
                             == oracle_random_cyclically_reduced(m, t, b)), (m, t, seed)
                 assert a.getstate() == b.getstate()
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_up_to_draws_match_table(self, m):
         for t in (1, 2, 3, 4, 5, 8, 13, 50, 101, 200):
             for seed in range(3):
@@ -496,6 +503,14 @@ class TestSampling:
             sd = (draws * (count_cyclically_reduced(m, k) / total)
                   * (1 - count_cyclically_reduced(m, k) / total)) ** 0.5
             assert abs(counts[k] - expect) < 5 * sd
+
+    def test_huge_rank_draws_by_arithmetic(self):
+        # no draw lists the 2m letters, so rank 10**12 costs what rank 2 does
+        m, rng = 10**12, random.Random(1)
+        for t in (1, 2, 3, 4, 9, 40):
+            w = random_cyclically_reduced(m, t, rng)
+            assert len(w) == t and is_cyclically_reduced(w)
+            assert all(1 <= abs(x) <= m for x in w)
 
     def test_determinism(self):
         a = [random_cyclically_reduced(3, 11, random.Random(42)) for _ in range(5)]
