@@ -22,7 +22,7 @@ crossings: the label of a walk closing at the root of a spanning tree
 freely equals the product of the basis words of the non-tree edges it
 crosses, in any graph, because tree-path labels telescope.  A folding
 phase joins the lifted edges of a loop with *connector* words, one per
-merged-away vertex (see ``fold_all``).
+merged-away vertex, reading only the letters that cancel (see ``fold_all``).
 
 One routine, ``_record``, builds every record: it reads both witness
 directions through the caller's lifts and checks the rank change.
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional, Sequence
 
-from .words import Word, free_reduce, inverse, concat, substitute_all
+from .words import Word, free_reduce, inverse, concat, join, substitute_all
 
 
 @dataclass(frozen=True)
@@ -494,31 +494,17 @@ def _walk_lift(walk_of):
 # Folding
 
 
-def _conflict(g: FGraph, v: int):
-    """(outgoing, e1, e2) for same-label edges e1 < e2 at v, or None.
-
-    Outgoing edges first; e2 is the lowest edge repeating a label, e1
-    the lowest edge with that label.
-    """
-    for outgoing, side in ((True, g._out[v]), (False, g._in[v])):
-        first: dict[int, int] = {}
-        for e in sorted(side):
-            e1 = first.setdefault(g.edges[e][2], e)
-            if e1 != e:
-                return outgoing, e1, e
-    return None
-
-
 def fold_all(g: FGraph) -> list[MoveRecord]:
     """Fold until no vertex has two same-label outgoing or incoming edges.
 
     Mutates g and returns one Fold record for the whole phase, or none
-    when g is folded already.  A fold merges the higher of two same-label
-    edges at a vertex into the lower, and their far ends into the lower
-    id.  Folding is confluent, so every vertex and edge class of the
-    folded graph survives under its lowest id in any fold order.  A
-    worklist finds the conflicts: a fold can create one only at the fold
-    vertex or at the surviving far vertex.
+    when g is folded already.  A fold at v takes the lowest edge e2 that
+    repeats a label (outgoing side first) and the lowest edge e1 with that
+    label; it merges e2 into e1 and their far ends into the lower id.
+    Folding is confluent, so every vertex and edge class of the folded
+    graph survives under its lowest id in any fold order.  A worklist
+    finds the conflicts: a fold can create one only at the fold vertex or
+    at the surviving far vertex.
 
     Each merged-away vertex keeps a *connector*: the pre-phase crossing
     word of a freely trivial walk to it from the vertex it merged into,
@@ -526,57 +512,70 @@ def fold_all(g: FGraph) -> list[MoveRecord]:
     weights are words, the connectors lift every post-phase loop to a
     pre-phase word; a pre-phase loop maps forward edge by edge, a
     folded-away edge to its survivor.  The rank drops by one for each
-    fold whose far ends had already merged.
+    fold whose far ends had already merged; such a fold composes no walk.
+    Walks, chain compression and lifts join reduced words by ``words.join``,
+    which copies by slicing: every lift reads the connectors, which grow.
     """
     if g.base is None:
         raise ValueError("folding tracks bases; set g.base first")
-    pre = g.basis_data()
-    index = _symbols(pre)
-    pre_ends = {e: (o, t) for e, (o, t, _) in g.edges.items()}
-    pre_base = g.base
+    edges, pre_base = g.edges, g.base
     up: dict[int, tuple[int, Word]] = {}  # merged-away vertex -> (merged into, connector)
     survivor: dict[int, int] = {}  # folded-away edge -> the edge it folded into
 
     def connector(v: int) -> tuple[int, Word]:
         """(v's current vertex, crossing word of a freely trivial walk from
         it to v), compressing the chain of merges on the way."""
+        if v not in up:
+            return v, ()
         chain = []
         while v in up:
             chain.append(v)
             v = up[v][0]
         word: Word = ()
         for u in reversed(chain):
-            word = concat(word, up[u][1])
+            word = join(word, up[u][1])
             up[u] = (v, word)
         return v, word
 
     def cross(e: int, d: int) -> Word:
         return (index[e] * d,) if e in index else ()
 
-    def ends(e: int, d: int) -> tuple[int, int]:
-        return pre_ends[e] if d > 0 else pre_ends[e][::-1]
-
     folds = drops = 0
     work = sorted(g.vertices, reverse=True)
     while work:
         v = work.pop()
-        hit = _conflict(g, v) if v in g.vertices else None
-        if hit is None:
+        if v not in g.vertices:
             continue
-        outgoing, e1, e2 = hit
-        d = -1 if outgoing else 1  # the step from a far end in to v
-        (b1, a1), (b2, a2) = ends(e1, d), ends(e2, d)
+        for d, side in ((-1, g._out[v]), (1, g._in[v])):  # d: the step from a far end in to v
+            if len(side) > 1:
+                first: dict[int, int] = {}
+                for e2 in sorted(side):
+                    e1 = first.setdefault(edges[e2][2], e2)
+                    if e1 != e2:
+                        break
+                else:
+                    continue
+                break
+        else:
+            continue
+        if not folds:  # the first fold: read the basis before any change
+            pre = g.basis_data()
+            index = _symbols(pre)
+            pre_ends = {e: (o, t) for e, (o, t, _) in edges.items()}
+        (o1, t1), (o2, t2) = pre_ends[e1], pre_ends[e2]
+        b1, a1, b2, a2 = (o1, t1, o2, t2) if d > 0 else (t1, o1, t2, o2)
         f1, w1 = connector(b1)
         f2, w2 = connector(b2)
-        # crossing word of the freely trivial walk f1 -> b1 -> v -> b2 -> f2
-        walk = concat(w1, cross(e1, d), inverse(connector(a1)[1]),
-                      connector(a2)[1], cross(e2, -d), inverse(w2))
         g._remove_edge(e2)
         survivor[e2] = e1
         folds += 1
         if f1 == f2:
             drops += 1
         else:
+            walk = w1  # crossing word of the freely trivial walk f1 -> b1 -> v -> b2 -> f2
+            for piece in (cross(e1, d), inverse(connector(a1)[1]), connector(a2)[1],
+                          cross(e2, -d), inverse(w2)):
+                walk = join(walk, piece) if piece else walk
             keep, drop = min(f1, f2), max(f1, f2)
             up[drop] = (keep, walk if keep == f1 else inverse(walk))
             g._merge_vertices(keep, drop)
@@ -588,13 +587,21 @@ def fold_all(g: FGraph) -> list[MoveRecord]:
     for e in reversed(list(survivor)):  # a survivor folds away only later
         survivor[e] = survivor.get(survivor[e], survivor[e])
 
+    def bridge(word: Word, run: list, u: int, v: int) -> Word:
+        """word · run · connector(u)^-1 · connector(v), for crossings ``run``."""
+        word = join(word, free_reduce(run))
+        return word if u == v else join(join(word, inverse(connector(u)[1])), connector(v)[1])
+
     def lift_post(steps, _index) -> Word:
-        pieces, cur = [], pre_base
+        word, run, cur = (), [], pre_base
         for e, d in steps:
-            a, b = ends(e, d)
-            pieces += (inverse(connector(cur)[1]), connector(a)[1], cross(e, d))
+            a, b = pre_ends[e] if d > 0 else pre_ends[e][::-1]
+            if a != cur:  # else the connector pair cancels
+                word, run = bridge(word, run, cur, a), []
+            if e in index:
+                run.append(index[e] * d)
             cur = b
-        return concat(*pieces, inverse(connector(cur)[1]), connector(pre_base)[1])
+        return bridge(word, run, cur, pre_base)
 
     def lift_pre(steps, post_index) -> Word:
         return _crossings(post_index, [(survivor.get(e, e), d) for e, d in steps])

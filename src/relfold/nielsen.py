@@ -353,7 +353,6 @@ def reduce_tuple(tpl, p: Presentation, params: ClassParams) -> ReductionVerdict:
         return ReductionVerdict(NOT_IN_CLASS, condition="C1", cprime=c1)
 
     g = bouquet(words)
-    arrangement = _match_arrangement(g.free_basis(), words)
     steps = []
 
     def record(records) -> None:
@@ -372,11 +371,13 @@ def reduce_tuple(tpl, p: Presentation, params: ClassParams) -> ReductionVerdict:
         if g.rank() > params.L:
             raise RuntimeError(f"graph rank {g.rank()} exceeds L = {params.L}")
         if is_alphabet_bouquet(g, m):
+            # a record's bases are the graph's: the first's before, the last's after
+            first, last = (steps[0][0].pre_basis, steps[-1][1]) if steps else (g.free_basis(),) * 2
             trace = NielsenTrace(
                 initial_tuple=words,
-                initial_arrangement=arrangement,
+                initial_arrangement=_match_arrangement(first, words),
                 steps=tuple(steps),
-                final_tuple=g.free_basis(),
+                final_tuple=last,
                 conjugator=_accumulated_conjugator(steps),
             )
             return ReductionVerdict(WHOLE_GROUP, trace=trace)
@@ -385,7 +386,7 @@ def reduce_tuple(tpl, p: Presentation, params: ClassParams) -> ReductionVerdict:
             return ReductionVerdict(
                 CERTIFIED_FREE,
                 rank=g.rank(),
-                basis=g.free_basis(),
+                basis=steps[-1][1] if steps else g.free_basis(),
                 reason=FREE_REASON,
             )
         edges_before = g.num_edges()

@@ -76,7 +76,7 @@ def inverse(w: Sequence[int]) -> Word:
     >>> inverse((1, 2, -3))
     (3, -2, -1)
     """
-    return tuple(-x for x in reversed(w))
+    return tuple(map(neg, reversed(w)))
 
 
 def concat(*ws: Sequence[int]) -> Word:
@@ -89,6 +89,18 @@ def concat(*ws: Sequence[int]) -> Word:
             else:
                 out.append(x)
     return tuple(out)
+
+
+def join(u: Word, w: Word) -> Word:
+    """``concat(u, w)`` for reduced tuples; only cancelling letters are read.
+
+    >>> join((1, 2, 3), (-3, -2, 1))
+    (1, 1)
+    """
+    k, n = 0, min(len(u), len(w))
+    while k < n and u[~k] == -w[k]:
+        k += 1
+    return u[:len(u) - k] + w[k:]
 
 
 def substitute_all(ws: Sequence[Sequence[int]],

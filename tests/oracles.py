@@ -6,7 +6,8 @@ form and closing relabel by enumeration, the orbit search and certificate replay
 rotate every word they build,
 readability of short words, the readability search with its old memo
 of failed states,
-one-move-at-a-time folding and stripping, maximal arcs by walking,
+one-move-at-a-time folding and stripping, the Fold record of a phase
+composed letter by letter, maximal arcs by walking,
 pieces by pairwise prefixes, and the long-relator scan by a table over
 every position and vertex; and the document mutator of the fuzz tests,
 with decoders for the witness, certificate and verdict documents.
@@ -47,7 +48,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterator
 
-from relfold.fgraph import FGraph, Path
+from relfold.fgraph import FGraph, MoveRecord, Path, _crossings, _record, _symbols
 from relfold.iso import INAPPLICABLE, ISOMORPHIC, NOT_ISOMORPHIC, IsoVerdict
 from relfold.nielsen import C3Witness
 from relfold.readability import (
@@ -625,6 +626,101 @@ def oracle_fold(g) -> int:
             g._merge_vertices(min(far1, far2), max(far1, far2))
         folds += 1
     return folds
+
+
+def _fold_conflict(g: FGraph, v: int):
+    """(outgoing, e1, e2) for same-label edges e1 < e2 at v, or None.
+
+    Outgoing edges first; e2 is the lowest edge repeating a label, e1
+    the lowest edge with that label.
+    """
+    for outgoing, side in ((True, g._out[v]), (False, g._in[v])):
+        first: dict[int, int] = {}
+        for e in sorted(side):
+            e1 = first.setdefault(g.edges[e][2], e)
+            if e1 != e:
+                return outgoing, e1, e
+    return None
+
+
+def oracle_fold_all(g: FGraph) -> list[MoveRecord]:
+    """The reference for :func:`relfold.fgraph.fold_all`, record included:
+    the same worklist folding, with every connector, walk and lift word
+    composed by ``concat`` letter by letter, each walk composed even when
+    the fold drops the rank, and no shortcut for unmerged vertices."""
+    if g.base is None:
+        raise ValueError("folding tracks bases; set g.base first")
+    pre = g.basis_data()
+    index = _symbols(pre)
+    pre_ends = {e: (o, t) for e, (o, t, _) in g.edges.items()}
+    pre_base = g.base
+    up: dict[int, tuple[int, Word]] = {}  # merged-away vertex -> (merged into, connector)
+    survivor: dict[int, int] = {}  # folded-away edge -> the edge it folded into
+
+    def connector(v: int) -> tuple[int, Word]:
+        """(v's current vertex, crossing word of a freely trivial walk from
+        it to v), compressing the chain of merges on the way."""
+        chain = []
+        while v in up:
+            chain.append(v)
+            v = up[v][0]
+        word: Word = ()
+        for u in reversed(chain):
+            word = concat(word, up[u][1])
+            up[u] = (v, word)
+        return v, word
+
+    def cross(e: int, d: int) -> Word:
+        return (index[e] * d,) if e in index else ()
+
+    def ends(e: int, d: int) -> tuple[int, int]:
+        return pre_ends[e] if d > 0 else pre_ends[e][::-1]
+
+    folds = drops = 0
+    work = sorted(g.vertices, reverse=True)
+    while work:
+        v = work.pop()
+        hit = _fold_conflict(g, v) if v in g.vertices else None
+        if hit is None:
+            continue
+        outgoing, e1, e2 = hit
+        d = -1 if outgoing else 1  # the step from a far end in to v
+        (b1, a1), (b2, a2) = ends(e1, d), ends(e2, d)
+        f1, w1 = connector(b1)
+        f2, w2 = connector(b2)
+        # crossing word of the freely trivial walk f1 -> b1 -> v -> b2 -> f2
+        walk = concat(w1, cross(e1, d), inverse(connector(a1)[1]),
+                      connector(a2)[1], cross(e2, -d), inverse(w2))
+        g._remove_edge(e2)
+        survivor[e2] = e1
+        folds += 1
+        if f1 == f2:
+            drops += 1
+        else:
+            keep, drop = min(f1, f2), max(f1, f2)
+            up[drop] = (keep, walk if keep == f1 else inverse(walk))
+            g._merge_vertices(keep, drop)
+            work.append(keep)
+        work.append(v)
+    if not folds:
+        return []
+
+    for e in reversed(list(survivor)):  # a survivor folds away only later
+        survivor[e] = survivor.get(survivor[e], survivor[e])
+
+    def lift_post(steps, _index) -> Word:
+        pieces, cur = [], pre_base
+        for e, d in steps:
+            a, b = ends(e, d)
+            pieces += (inverse(connector(cur)[1]), connector(a)[1], cross(e, d))
+            cur = b
+        return concat(*pieces, inverse(connector(cur)[1]), connector(pre_base)[1])
+
+    def lift_pre(steps, post_index) -> Word:
+        return _crossings(post_index, [(survivor.get(e, e), d) for e, d in steps])
+
+    return [_record("Fold", g, pre, lift_post, lift_pre, -drops,
+                    detail={"moves": folds, "rank_drops": drops})]
 
 
 def oracle_strip(g) -> list[int]:

@@ -15,4 +15,4 @@ def test_library_examples():
         failed += result.failed
         attempted += result.attempted
     assert failed == 0, f"{failed} of {attempted} examples failed"
-    assert attempted >= 25, f"only {attempted} examples found"
+    assert attempted >= 26, f"only {attempted} examples found"

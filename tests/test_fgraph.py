@@ -24,7 +24,8 @@ from relfold.fgraph import (
     remove_degree_one,
 )
 from relfold.words import concat, free_reduce, inverse, signed_letters, substitute
-from oracles import oracle_arc_partition, oracle_fold, oracle_strip
+from oracles import oracle_arc_partition, oracle_fold, oracle_fold_all, oracle_strip
+from test_acceptance import grown_scrambled_tuple
 
 
 def assert_free_witnesses(rec):
@@ -241,9 +242,20 @@ def bouquet_words(draw):
     return ws
 
 
+def assert_fold_matches_record_oracle(ws):
+    """``fold_all`` leaves the graph and writes the record, every field of
+    it, that ``oracle_fold_all``'s letter-by-letter folding does."""
+    g, h = bouquet(ws), bouquet(ws)
+    records, expected = fold_all(g), oracle_fold_all(h)
+    assert g.dump() == h.dump()
+    # dataclass equality: both bases, both witness directions, detail
+    assert records == expected
+
+
 class TestPhases:
     """One record per fold phase and per strip phase, checked against the
-    one-move-at-a-time oracles of ``tests/oracles.py``."""
+    one-move-at-a-time oracles of ``tests/oracles.py``, and each Fold
+    record against ``oracle_fold_all``."""
 
     @settings(max_examples=300, deadline=None)
     @given(bouquet_words())
@@ -265,6 +277,15 @@ class TestPhases:
             assert strips[0].conjugator == free_reduce(hops)
         for rec in records + strips:
             assert_free_witnesses(rec)
+        # the appended products drop the rank, where witness words
+        # depend on the fold order
+        assert_fold_matches_record_oracle(ws)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_scrambled_fold_records_match_oracle(self, m, seed):
+        ws = grown_scrambled_tuple(random.Random(f"fgraph/fold/{m}/{seed}"), m, 100)
+        assert_fold_matches_record_oracle(ws)
 
     def test_long_hanging_path_strips_in_one_record(self):
         # a 2000-edge path from the base to a loop: the base walks the

@@ -176,6 +176,45 @@ class TestWholeGroup:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+class TestCostGuards:
+    """Call counts, not wall-clock times: ``FGraph.basis_data`` builds a
+    spanning tree and every basis label, so each graph state gets one."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"basis": 0}
+        basis_data = FGraph.basis_data
+
+        def counted_basis_data(g):
+            counts["basis"] += 1
+            return basis_data(g)
+
+        monkeypatch.setattr(FGraph, "basis_data", counted_basis_data)
+        return counts
+
+    def test_one_phase_reduction_reads_two_bases(self, calls):
+        # the Fold record's pre- and post-phase bases; the arrangement and
+        # the final tuple are read off the record
+        p = fixture_presentation()
+        v = reduce_tuple(grown_scrambled_tuple(random.Random(24), 2, 100), p, PARAMS)
+        assert v.kind == WHOLE_GROUP
+        assert [rec.kind for rec, _ in v.trace.steps] == ["Fold"]
+        assert calls["basis"] == 2
+        assert verify_trace(v.trace, p)
+
+    @pytest.mark.parametrize("text, arrangement", [("b A", (-2, 1)), ("B a", (2, -1))])
+    def test_record_less_trace_reads_one_basis(self, calls, text, arrangement):
+        # an alphabet bouquet up to order and sign folds nothing and has no
+        # record, so its one basis gives the arrangement and the final tuple
+        p = fixture_presentation()
+        v = reduce_tuple(tuple(parse_word(w) for w in text.split()), p, PARAMS)
+        assert v.kind == WHOLE_GROUP and v.trace.steps == ()
+        assert v.trace.initial_arrangement == arrangement
+        assert v.trace.final_tuple == ((1,), (2,))
+        assert calls["basis"] == 1
+        assert verify_trace(v.trace, p)
+
+
 class TestSurgery:
     def test_relator_laden_entry_fires_surgery(self):
         p = fixture_presentation()

@@ -20,6 +20,7 @@ from relfold.words import (
     is_cyclically_reduced,
     is_proper_power,
     is_reduced,
+    join,
     key_letter,
     least_rotation_offset,
     letter_key,
@@ -118,6 +119,20 @@ class TestReduction:
             ws = [free_reduce([rng.choice([1, -1, 2, -2]) for _ in range(6)])
                   for _ in range(3)]
             assert concat(concat(ws[0], ws[1]), ws[2]) == concat(ws[0], concat(ws[1], ws[2]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=30),
+           st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=30),
+           st.sampled_from(["free", "inverse", "inverse suffix", "empty"]),
+           st.integers(0, 30))
+    def test_join_matches_concat_on_reduced_words(self, raw_u, raw_w, shape, cut):
+        # inverse(u) cancels all of u, and a suffix of it cancels a head
+        # of u when joined in front of u
+        u = free_reduce(raw_u)
+        w = {"free": free_reduce(raw_w), "inverse": inverse(u),
+             "inverse suffix": inverse(u)[min(cut, len(u)):], "empty": ()}[shape]
+        assert join(u, w) == concat(u, w)
+        assert join(w, u) == concat(w, u)
 
     def test_cyclic_reduce(self):
         core, conj = cyclic_reduce((2, 1, -2))
