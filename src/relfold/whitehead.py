@@ -59,6 +59,14 @@ rotations.  It is found without listing the 2^m * m! relabels:
    relabel, and at least the least image, being itself a relabel image
    of a rotation.  So one Booth pass per distinct greedy relabel finds
    the least image.
+4. *A relabel invariant gates the comparison.*  The sorted entries of
+   the Whitehead graph's adjacency matrix, the word's *fingerprint*, do
+   not change under rotation, which keeps the cyclic adjacencies; under
+   inversion, which turns the adjacency ``x y`` into ``y^-1 x^-1``, the
+   same edge ``{x, y^-1}``; or under a relabel, which permutes the
+   vertices.  So words with equal orbit forms have equal fingerprints,
+   and :func:`same_orbit` compares a node with the target's orbit forms,
+   and builds those forms, only where the fingerprints agree.
 
 Positive answers come with an :class:`OrbitCertificate` whose move
 sequence replays from source to target — certificates are re-verified
@@ -217,17 +225,25 @@ def _cut_edges(m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(table)
 
 
-def _length_changes(w: Word, m: int) -> list[int]:
-    """``len(_image_core(w, mv)) - len(w)`` for each multiplier move
-    ``mv``, in :func:`multiplier_moves` order, for a nonempty cyclically
-    reduced ``w``: the edges of the Whitehead graph that leave the cut
-    set, less the degree of the multiplier letter."""
+def _whitehead_graph(w: Word, m: int) -> list[int]:
+    """The adjacency matrix of the cyclic Whitehead graph of the nonempty
+    cyclically reduced ``w``, flat: cell ``u * 2m + v`` counts the edges
+    between the letters of ``letter_key`` u and v."""
     n = 2 * m
     graph = [0] * (n * n)
     for (x, y), count in Counter(zip(w, w[1:] + w[:1])).items():
         u, v = letter_key(x), letter_key(-y)
         graph[u * n + v] += count
         graph[v * n + u] += count
+    return graph
+
+
+def _length_changes(graph: list[int], m: int) -> list[int]:
+    """``len(_image_core(w, mv)) - len(w)`` for each multiplier move
+    ``mv``, in :func:`multiplier_moves` order, from the Whitehead
+    ``graph`` of ``w``: the edges that leave the cut set, less the
+    degree of the multiplier letter."""
+    n = 2 * m
     degree = [sum(graph[u * n:(u + 1) * n]) for u in range(n)]
     return [sum(map(graph.__getitem__, cells)) - degree[a] for a, cells in _cut_edges(m)]
 
@@ -344,19 +360,21 @@ def _core(w: Word) -> Word:
     return core
 
 
-def _descend(w: Word, m: int) -> tuple[Word, list, list[int]]:
+def _descend(w: Word, m: int) -> tuple[Word, list, list[int], list[int]]:
     """Greedy descent from the nonempty cyclically reduced ``w``: while
     some multiplier move shortens the word, apply the first one in
     :func:`multiplier_moves` order.  Returns the word reached (not
-    rotated), the moves, and that word's :func:`_length_changes`."""
+    rotated), the moves, and that word's Whitehead graph and
+    :func:`_length_changes`."""
     moves = []
     while True:
-        changes = _length_changes(w, m)
+        graph = _whitehead_graph(w, m)
+        changes = _length_changes(graph, m)
         for mv, change in zip(multiplier_moves(m), changes):
             if change < 0:
                 break
         else:
-            return w, moves, changes
+            return w, moves, graph, changes
         moves.append(mv)
         w = _image_core(w, mv)
 
@@ -378,7 +396,7 @@ def minimize(w: Word, m: int) -> tuple[Word, tuple]:
     (1, 2, -1, -2)
     """
     _check_alphabet(w, m)
-    x, moves, _ = _descend(_core(w), m)
+    x, moves, _, _ = _descend(_core(w), m)
     return words.canonical_rotation(x), tuple(moves)
 
 
@@ -436,35 +454,43 @@ def same_orbit(u: Word, v: Word, m: int) -> Optional[OrbitCertificate]:
     the identity raises ``ValueError``.  Move scores and orbit forms do
     not depend on the rotation, and the image of a rotation is a
     rotation of the image, so search nodes stay unrotated: only a hit
-    and its target are rotated, for the closing relabel.
+    and its target are rotated, for the closing relabel.  A node meets
+    the target's orbit forms only when its fingerprint matches (point 4
+    of the module docstring), so two strictly minimal words with
+    different fingerprints cost no orbit form at all.
     """
     _check_alphabet(u, m)
     _check_alphabet(v, m)
     core_u = _core(u)
-    min_u, moves_u, changes_u = _descend(core_u, m)
+    min_u, moves_u, graph_u, changes_u = _descend(core_u, m)
     core_v = _core(v)
-    min_v, moves_v, _ = _descend(core_v, m)
+    min_v, moves_v, graph_v, _ = _descend(core_v, m)
     if len(min_u) != len(min_v):
         return None
 
     target_inv = inverse(min_v)
-    canon_fwd, canon_inv = _least_images(min_v, m)[0], _least_images(target_inv, m)[0]
-    start_key = _least_images(min_u, m)[0]
-    visited = {start_key}
-    queue = deque([(min_u, (), start_key)])
+    fingerprint = sorted(graph_v)
+    targets = None  # the orbit forms of min_v and of its inverse
+    visited = set()
+    queue = deque([(min_u, (), None)])
     hit: Optional[tuple[Word, tuple, bool]] = None
     while queue:
         x, path, key = queue.popleft()
-        if key == canon_fwd:
-            hit = (x, path, False)
-            break
-        if key == canon_inv:
-            hit = (x, path, True)
-            break
-        changes = _length_changes(x, m) if path else changes_u
+        graph = _whitehead_graph(x, m) if path else graph_u
+        if sorted(graph) == fingerprint:
+            if targets is None:
+                targets = (_least_images(min_v, m)[0], _least_images(target_inv, m)[0])
+            key = key or _least_images(x, m)[0]
+            if key in targets:
+                hit = (x, path, key != targets[0])
+                break
+        changes = _length_changes(graph, m) if path else changes_u
         for mv, change in zip(multiplier_moves(m), changes):
             if change or len(mv.cut) in (1, 2 * m - 1):  # fixes every cyclic word
                 continue
+            if not visited:  # the start has a neighbour, so its key is needed
+                key = key or _least_images(x, m)[0]
+                visited.add(key)
             core = _image_core(x, mv)
             ikey = _least_images(core, m)[0]
             if ikey not in visited:

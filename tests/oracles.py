@@ -68,6 +68,7 @@ from relfold.whitehead import (
     _fits_rank,
     _image_core,
     _length_changes,
+    _whitehead_graph,
     apply_move,
     canonical_orbit_form,
     invert_move,
@@ -332,7 +333,8 @@ def oracle_same_orbit(u: Word, v: Word, m: int):
         if key == canon_inv:
             hit = (x, path, True)
             break
-        for mv, change in zip(multiplier_moves(m), _length_changes(x, m)):
+        changes = _length_changes(_whitehead_graph(x, m), m)
+        for mv, change in zip(multiplier_moves(m), changes):
             if change or len(mv.cut) in (1, 2 * m - 1):  # fixes every cyclic word
                 continue
             core = _image_core(x, mv)

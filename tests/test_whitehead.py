@@ -8,6 +8,7 @@ import subprocess
 import sys
 from collections import deque
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -19,6 +20,7 @@ from relfold.whitehead import (
     _closing_relabel,
     _image_core,
     _length_changes,
+    _whitehead_graph,
     Multiplier,
     OrbitCertificate,
     Relabel,
@@ -321,7 +323,7 @@ class TestLengthChanges:
         moves = multiplier_moves(m)
         for w in short_words(m, max_len):
             expected = [len(_image_core(w, mv)) - len(w) for mv in moves]
-            assert _length_changes(w, m) == expected, w
+            assert _length_changes(_whitehead_graph(w, m), m) == expected, w
 
 
 class TestAgreesWithOracles:
@@ -398,6 +400,32 @@ def search_json(m, u, v, search=same_orbit):
     return certificate_jsonable(cert) if cert is not None else None
 
 
+def fingerprint(w, m):
+    """The relabel invariant that gates ``same_orbit``'s orbit forms."""
+    return sorted(_whitehead_graph(w, m))
+
+
+def exponent_gcd(w, m):
+    """gcd of the exponent sums: invariant under automorphisms and inversion."""
+    sums = [0] * (m + 1)
+    for x in w:
+        sums[abs(x)] += 1 if x > 0 else -1
+    return gcd(*sums)
+
+
+def independent_pair(m, length, rng):
+    """Two words of one length with equal minimal length and different
+    exponent-sum gcds, so different orbits, drawn until two match."""
+    seen = {}
+    while True:
+        w = random_cyclically_reduced(m, length, rng)
+        bucket = seen.setdefault(len(minimize(w, m)[0]), [])
+        for other in bucket:
+            if exponent_gcd(other, m) != exponent_gcd(w, m):
+                return other, w
+        bucket.append(w)
+
+
 class TestSearchOracle:
     """``same_orbit`` and ``verify_certificate``, which rotate only at a hit
     and at the end of a replay, give what the search and replay that
@@ -413,6 +441,20 @@ class TestSearchOracle:
             assert search_json(m, u, v) == search_json(m, u, v, oracle_same_orbit), (u, v)
             for w in (u, v):
                 assert minimize(w, m) == oracle_minimize(w, m), w
+
+    @pytest.mark.parametrize("m, length, draws", [(2, 12, 60), (3, 10, 30)])
+    def test_pairs_the_fingerprint_lets_through(self, m, length, draws):
+        # Of independent pairs with equal minimal length, keep those whose
+        # minima share a fingerprint: the search builds and compares orbit
+        # forms there, and must still tell the orbits apart.
+        rng = random.Random(f"whitehead/search-oracle/gated/{m}")
+        pairs = [independent_pair(m, length, rng) for _ in range(draws)]
+        gated = [(u, v) for u, v in pairs
+                 if fingerprint(minimize(u, m)[0], m) == fingerprint(minimize(v, m)[0], m)]
+        assert len(gated) >= 5
+        for u, v in gated:
+            assert search_json(m, u, v) is None
+            assert search_json(m, u, v, oracle_same_orbit) is None, (u, v)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_periodic_words(self, m):
@@ -468,6 +510,21 @@ class TestClosingRelabel:
                 assert _closing_relabel(x, target, m) == oracle_closing_relabel(x, target, m)
 
 
+class TestFingerprint:
+    """The sorted entries of the Whitehead graph's adjacency matrix do not
+    change under rotation, inversion or any relabel, so gating the orbit
+    forms on them never skips a hit."""
+
+    @pytest.mark.parametrize("m, max_len", EXHAUSTIVE)
+    def test_invariant_under_rotation_inversion_and_relabels(self, m, max_len):
+        relabels = relabel_moves(m)
+        for w in short_words(m, max_len):
+            images = [inverse(w), w[1:] + w[:1]] + [_image_core(w, rho) for rho in relabels]
+            expected = fingerprint(w, m)
+            for x in images:
+                assert fingerprint(x, m) == expected, (w, x)
+
+
 class TestTrivialMoves:
     """The level set skips the multiplier moves whose cut has 1 or 2m - 1
     letters: the identity and conjugation by the multiplier letter."""
@@ -508,9 +565,9 @@ class TestCostGuards:
             counts["image"] += 1
             return image(w, mv)
 
-        def counted_scores(w, m):
+        def counted_scores(graph, m):
             counts["scores"] += 1
-            return scores(w, m)
+            return scores(graph, m)
 
         monkeypatch.setattr(words, "least_rotation_offset", counted_booth)
         monkeypatch.setattr(whitehead, "_image_core", counted_image)
@@ -535,16 +592,27 @@ class TestCostGuards:
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_class_relators_are_strictly_minimal(self, calls, m):
         # Kapovich-Schupp-Shpilrain: a generic cyclic word is strictly
-        # minimal, so no descent move and no level-set image is built.  A
-        # search that rotates only at a hit orders each word once (the
-        # orbit keys of s, s^-1 and r) and scores it once (r and s).
+        # minimal, so no descent move and no level-set image is built.  The
+        # search scores each word once (r and s), and their fingerprints
+        # differ, so it builds no orbit form and orders nothing.
         rng = random.Random(f"whitehead/cost/class/{m}")
         r, s = class_relator(m, 1000, rng), class_relator(m, 1000, rng)
         assert same_orbit(r, r, m) is not None
-        calls["booth"] = calls["scores"] = 0
+        calls.update(booth=0, scores=0, image=0)
         assert same_orbit(r, s, m) is None
-        assert (calls["booth"], calls["scores"]) == (3, 2)
-        assert calls["image"] == 0
+        assert (calls["booth"], calls["scores"], calls["image"]) == (0, 2, 0)
+
+        # A relabelled rotation of r shares r's fingerprint.  The search
+        # orders the orbit forms of the target, of its inverse and of r
+        # (3), rotates the hit and its target (2) and finds the closing
+        # relabel (2); the replay rotates the certificate's source and
+        # target and both ends (4), and its one image is that relabel's.
+        image = _image_core(r, rng.choice(relabel_moves(m)))
+        k = rng.randrange(len(image))
+        calls.update(booth=0, scores=0, image=0)
+        cert = same_orbit(r, image[k:] + image[:k], m)
+        assert cert is not None and len(cert.moves) == 1
+        assert (calls["booth"], calls["scores"], calls["image"]) == (11, 2, 1)
 
     def test_replay_rotates_once(self, calls):
         # one Booth pass per end of the replay, none per move
