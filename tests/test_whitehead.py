@@ -1,5 +1,6 @@
 """Tests for Whitehead moves, orbit minimization, and orbit certificates."""
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -8,7 +9,6 @@ import subprocess
 import sys
 from collections import deque
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
@@ -54,6 +54,7 @@ from oracles import (
     relabel_moves,
 )
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 PINNED = pathlib.Path(__file__).with_name("whitehead_pinned.json")
 
 
@@ -405,25 +406,24 @@ def fingerprint(w, m):
     return sorted(_whitehead_graph(w, m))
 
 
-def exponent_gcd(w, m):
-    """gcd of the exponent sums: invariant under automorphisms and inversion."""
-    sums = [0] * (m + 1)
-    for x in w:
-        sums[abs(x)] += 1 if x > 0 else -1
-    return gcd(*sums)
-
-
-def independent_pair(m, length, rng):
-    """Two words of one length with equal minimal length and different
-    exponent-sum gcds, so different orbits, drawn until two match."""
-    seen = {}
-    while True:
-        w = random_cyclically_reduced(m, length, rng)
-        bucket = seen.setdefault(len(minimize(w, m)[0]), [])
-        for other in bucket:
-            if exponent_gcd(other, m) != exponent_gcd(w, m):
-                return other, w
-        bucket.append(w)
+def load_bench_inputs():
+    """``bench/inputs.py``, whose pair generators the fingerprint tests
+    reuse.  It imports its sibling ``oracle`` by bare name."""
+    bench = ROOT / "bench"
+    spec = importlib.util.spec_from_file_location("bench_inputs", bench / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    path, write_bytecode = list(sys.path), sys.dont_write_bytecode
+    had_oracle = "oracle" in sys.modules
+    sys.path.insert(0, str(bench))
+    sys.dont_write_bytecode = True  # leave no __pycache__ under bench/
+    try:
+        spec.loader.exec_module(inputs)
+    finally:
+        sys.path[:] = path
+        sys.dont_write_bytecode = write_bytecode
+        if not had_oracle:
+            sys.modules.pop("oracle", None)
+    return inputs
 
 
 class TestSearchOracle:
@@ -447,6 +447,7 @@ class TestSearchOracle:
         # Of independent pairs with equal minimal length, keep those whose
         # minima share a fingerprint: the search builds and compares orbit
         # forms there, and must still tell the orbits apart.
+        independent_pair = load_bench_inputs().independent_pair
         rng = random.Random(f"whitehead/search-oracle/gated/{m}")
         pairs = [independent_pair(m, length, rng) for _ in range(draws)]
         gated = [(u, v) for u, v in pairs
@@ -598,7 +599,8 @@ class TestCostGuards:
         rng = random.Random(f"whitehead/cost/class/{m}")
         r, s = class_relator(m, 1000, rng), class_relator(m, 1000, rng)
         assert same_orbit(r, r, m) is not None
-        calls.update(booth=0, scores=0, image=0)
+        assert calls["image"] == 0
+        calls["booth"] = calls["scores"] = 0
         assert same_orbit(r, s, m) is None
         assert (calls["booth"], calls["scores"], calls["image"]) == (0, 2, 0)
 
